@@ -17,7 +17,12 @@ import (
 )
 
 // encodeFloats serializes a float64 slice (length-prefixed, little endian).
+// A nil buf is sized once: the prefix, the values, and room for the one
+// scalar the Snapshot callers append.
 func encodeFloats(buf []byte, vals []float64) []byte {
+	if buf == nil {
+		buf = make([]byte, 0, 8*(len(vals)+2))
+	}
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(vals)))
 	for _, v := range vals {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))

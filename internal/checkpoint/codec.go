@@ -309,9 +309,7 @@ func Encode(cp *Checkpoint) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := append([]byte(nil), b.Bytes()...)
-	b.Release()
-	return out, nil
+	return heapCopy(b), nil
 }
 
 // Decode deserializes a checkpoint produced by Encode/EncodeBuffer into a

@@ -31,9 +31,13 @@ package checkpoint
 import (
 	"bytes"
 	"compress/flate"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
+
+	"repro/internal/buf"
 )
 
 var (
@@ -155,11 +159,11 @@ type chunkSpan struct {
 	off, len int
 }
 
-// chunks cuts data at gear-hash boundaries. Boundaries depend only on local
-// content, so an insertion early in the image shifts later cut points by the
-// same amount and downstream chunks still match the base.
-func chunks(data []byte) []chunkSpan {
-	var out []chunkSpan
+// appendChunks cuts data at gear-hash boundaries and appends the spans to
+// out. Boundaries depend only on local content, so an insertion early in the
+// image shifts later cut points by the same amount and downstream chunks
+// still match the base.
+func appendChunks(out []chunkSpan, data []byte) []chunkSpan {
 	start := 0
 	var h uint64
 	for i, b := range data {
@@ -191,19 +195,38 @@ type deltaOp struct {
 	baseOff int
 }
 
-// buildOps computes the COPY/XOR/LITERAL op list and residual blob that turn
-// base into target.
-func buildOps(target, base []byte) ([]deltaOp, []byte) {
-	index := make(map[uint64]chunkSpan)
-	for _, c := range chunks(base) {
+// encodeScratch is the working set of one frame encode: the flate writer and
+// its output, the chunk list and chunk index, the op list, the residual blob
+// and the frame head. All of it is dead once the frame has been copied into
+// its buffer, so it is pooled and reused across frames, ranks and goroutines;
+// a frame encode allocates only the buffer it returns.
+type encodeScratch struct {
+	zw     *flate.Writer
+	packed bytes.Buffer
+	spans  []chunkSpan
+	index  map[uint64]chunkSpan
+	ops    []deltaOp
+	blob   []byte
+	head   []byte
+}
+
+var encodeScratchPool = sync.Pool{New: func() any {
+	return &encodeScratch{index: make(map[uint64]chunkSpan)}
+}}
+
+// buildOps computes into s.ops and s.blob the COPY/XOR/LITERAL op list and
+// residual blob that turn base into target.
+func (s *encodeScratch) buildOps(target, base []byte) {
+	clear(s.index)
+	s.spans = appendChunks(s.spans[:0], base)
+	for _, c := range s.spans {
 		h := fnv1a(base[c.off : c.off+c.len])
-		if _, ok := index[h]; !ok {
-			index[h] = c
+		if _, ok := s.index[h]; !ok {
+			s.index[h] = c
 		}
 	}
 
-	var ops []deltaOp
-	var blob []byte
+	s.ops, s.blob = s.ops[:0], s.blob[:0]
 	pendOff, pendLen := 0, 0 // unmatched target region being accumulated
 
 	flush := func() {
@@ -215,31 +238,32 @@ func buildOps(target, base []byte) ([]deltaOp, []byte) {
 				if pendOff+n > len(base) {
 					n = len(base) - pendOff
 				}
-				for i := 0; i < n; i++ {
-					blob = append(blob, target[pendOff+i]^base[pendOff+i])
-				}
-				ops = append(ops, deltaOp{kind: opXOR, length: n, baseOff: pendOff})
+				at := len(s.blob)
+				s.blob = append(s.blob, target[pendOff:pendOff+n]...)
+				subtle.XORBytes(s.blob[at:], s.blob[at:], base[pendOff:pendOff+n])
+				s.ops = append(s.ops, deltaOp{kind: opXOR, length: n, baseOff: pendOff})
 				pendOff += n
 				pendLen -= n
 				continue
 			}
-			blob = append(blob, target[pendOff:pendOff+pendLen]...)
-			ops = append(ops, deltaOp{kind: opLit, length: pendLen})
+			s.blob = append(s.blob, target[pendOff:pendOff+pendLen]...)
+			s.ops = append(s.ops, deltaOp{kind: opLit, length: pendLen})
 			pendOff += pendLen
 			pendLen = 0
 		}
 	}
 
-	for _, c := range chunks(target) {
+	s.spans = appendChunks(s.spans[:0], target)
+	for _, c := range s.spans {
 		piece := target[c.off : c.off+c.len]
-		m, ok := index[fnv1a(piece)]
+		m, ok := s.index[fnv1a(piece)]
 		if ok && m.len == c.len && bytes.Equal(piece, base[m.off:m.off+m.len]) {
 			flush()
-			if n := len(ops); n > 0 && ops[n-1].kind == opCopy &&
-				ops[n-1].baseOff+ops[n-1].length == m.off {
-				ops[n-1].length += c.len
+			if n := len(s.ops); n > 0 && s.ops[n-1].kind == opCopy &&
+				s.ops[n-1].baseOff+s.ops[n-1].length == m.off {
+				s.ops[n-1].length += c.len
 			} else {
-				ops = append(ops, deltaOp{kind: opCopy, length: c.len, baseOff: m.off})
+				s.ops = append(s.ops, deltaOp{kind: opCopy, length: c.len, baseOff: m.off})
 			}
 			continue
 		}
@@ -249,38 +273,70 @@ func buildOps(target, base []byte) ([]deltaOp, []byte) {
 		pendLen += c.len
 	}
 	flush()
-	return ops, blob
 }
 
 // deflate compresses p; mode 1 means flate, mode 0 means p was stored raw
-// because compression did not shrink it.
-func deflate(p []byte) (mode byte, out []byte) {
-	var b bytes.Buffer
-	w, err := flate.NewWriter(&b, flate.DefaultCompression)
+// because compression did not shrink it. The result aliases s.packed or p. A
+// Reset writer is equivalent to a new one, so the stream is the same bytes
+// whatever the scratch compressed before.
+func (s *encodeScratch) deflate(p []byte) (mode byte, out []byte) {
+	s.packed.Reset()
+	var err error
+	if s.zw == nil {
+		s.zw, err = flate.NewWriter(&s.packed, flate.DefaultCompression)
+	} else {
+		s.zw.Reset(&s.packed)
+	}
 	if err == nil {
-		if _, err = w.Write(p); err == nil {
-			err = w.Close()
+		if _, err = s.zw.Write(p); err == nil {
+			err = s.zw.Close()
 		}
 	}
-	if err != nil || b.Len() >= len(p) {
+	if err != nil || s.packed.Len() >= len(p) {
 		return 0, p
 	}
-	return 1, b.Bytes()
+	return 1, s.packed.Bytes()
 }
 
-// inflate decompresses exactly n bytes of flate stream and rejects both
-// truncated and oversized payloads.
-func inflate(p []byte, n int) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(p))
-	out := make([]byte, n)
-	if _, err := io.ReadFull(r, out); err != nil {
-		return nil, fmt.Errorf("checkpoint: delta: truncated compressed payload: %w", err)
+// frame returns s.head followed by the length-prefixed payload in a pooled
+// buffer owned by the caller.
+func (s *encodeScratch) frame(payload []byte) *buf.Buffer {
+	s.head = binary.AppendUvarint(s.head, uint64(len(payload)))
+	b := buf.Get(len(s.head) + len(payload))
+	n := copy(b.Bytes(), s.head)
+	copy(b.Bytes()[n:], payload)
+	return b
+}
+
+// decodeScratch is the working set of one frame reconstruction — the flate
+// reader, the op list and the inflated residual blob — pooled like
+// encodeScratch: a reconstruction allocates only the image it returns.
+type decodeScratch struct {
+	zr   io.ReadCloser // a flate reader; it implements flate.Resetter
+	src  bytes.Reader
+	ops  []deltaOp
+	blob []byte
+}
+
+var decodeScratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
+
+// inflate fills out with exactly len(out) bytes of the flate stream p and
+// rejects both truncated and oversized payloads.
+func (s *decodeScratch) inflate(p, out []byte) error {
+	s.src.Reset(p)
+	if s.zr == nil {
+		s.zr = flate.NewReader(&s.src)
+	} else if err := s.zr.(flate.Resetter).Reset(&s.src, nil); err != nil {
+		return fmt.Errorf("checkpoint: delta: reset flate reader: %w", err)
+	}
+	if _, err := io.ReadFull(s.zr, out); err != nil {
+		return fmt.Errorf("checkpoint: delta: truncated compressed payload: %w", err)
 	}
 	var extra [1]byte
-	if m, _ := r.Read(extra[:]); m != 0 {
-		return nil, fmt.Errorf("checkpoint: delta: oversized compressed payload")
+	if m, _ := s.zr.Read(extra[:]); m != 0 {
+		return fmt.Errorf("checkpoint: delta: oversized compressed payload")
 	}
-	return out, nil
+	return nil
 }
 
 // metaSpan returns the encoded ImageMeta bytes of any frame: the fields sit
@@ -304,11 +360,12 @@ func metaSpan(raw []byte) ([]byte, error) {
 	return raw[codecHeaderLen : len(raw)-len(rest)], nil
 }
 
-// EncodeDeltaFrame encodes full (a codec-v2 image) as a delta frame against
-// base (the rank's previous durable codec-v2 image, identified by baseWave).
-// The caller is expected to apply its DeltaPolicy to the returned frame's
-// size; no gain threshold is applied here.
-func EncodeDeltaFrame(full, base []byte, baseWave int) ([]byte, error) {
+// EncodeDeltaFrameBuffer encodes full (a codec-v2 image) as a delta frame
+// against base (the rank's previous durable codec-v2 image, identified by
+// baseWave) into a pooled buffer the caller owns. The caller is expected to
+// apply its DeltaPolicy to the returned frame's size; no gain threshold is
+// applied here.
+func EncodeDeltaFrameBuffer(full, base []byte, baseWave int) (*buf.Buffer, error) {
 	if _, err := DecodeMeta(full); err != nil {
 		return nil, err
 	}
@@ -323,10 +380,12 @@ func EncodeDeltaFrame(full, base []byte, baseWave int) ([]byte, error) {
 		return nil, err
 	}
 
-	ops, blob := buildOps(full, base)
-	mode, packed := deflate(blob)
+	s := encodeScratchPool.Get().(*encodeScratch)
+	defer encodeScratchPool.Put(s)
+	s.buildOps(full, base)
+	mode, packed := s.deflate(s.blob)
 
-	e := encoder{out: make([]byte, 0, len(meta)+len(packed)+len(ops)*2*maxVarintLen+64)}
+	e := encoder{out: s.head[:0]}
 	e.out = append(e.out, deltaMagic[:]...)
 	e.out = append(e.out, meta...)
 	e.varint(int64(baseWave))
@@ -334,22 +393,22 @@ func EncodeDeltaFrame(full, base []byte, baseWave int) ([]byte, error) {
 	e.out = binary.LittleEndian.AppendUint64(e.out, fnv1a(base))
 	e.uint64(uint64(len(full)))
 	e.out = binary.LittleEndian.AppendUint64(e.out, fnv1a(full))
-	e.uint64(uint64(len(ops)))
-	for _, op := range ops {
+	e.uint64(uint64(len(s.ops)))
+	for _, op := range s.ops {
 		e.uint64(uint64(op.length)<<2 | uint64(op.kind))
 		if op.kind != opLit {
 			e.uint64(uint64(op.baseOff))
 		}
 	}
-	e.out = append(e.out, mode)
-	e.bytes(packed)
-	return e.out, nil
+	s.head = append(e.out, mode)
+	return s.frame(packed), nil
 }
 
-// EncodeCompressedFrame encodes full (a codec-v2 image) as a self-describing
-// compressed frame. The frame may be larger than the input on incompressible
-// images; callers compare sizes and keep the raw image in that case.
-func EncodeCompressedFrame(full []byte) ([]byte, error) {
+// EncodeCompressedFrameBuffer encodes full (a codec-v2 image) as a
+// self-describing compressed frame into a pooled buffer the caller owns. The
+// frame may be larger than the input on incompressible images; callers
+// compare sizes and keep the raw image in that case.
+func EncodeCompressedFrameBuffer(full []byte) (*buf.Buffer, error) {
 	if _, err := DecodeMeta(full); err != nil {
 		return nil, err
 	}
@@ -360,15 +419,45 @@ func EncodeCompressedFrame(full []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	mode, packed := deflate(full)
-	e := encoder{out: make([]byte, 0, len(meta)+len(packed)+32)}
+
+	s := encodeScratchPool.Get().(*encodeScratch)
+	defer encodeScratchPool.Put(s)
+	mode, packed := s.deflate(full)
+
+	e := encoder{out: s.head[:0]}
 	e.out = append(e.out, zfullMagic[:]...)
 	e.out = append(e.out, meta...)
 	e.uint64(uint64(len(full)))
 	e.out = binary.LittleEndian.AppendUint64(e.out, fnv1a(full))
-	e.out = append(e.out, mode)
-	e.bytes(packed)
-	return e.out, nil
+	s.head = append(e.out, mode)
+	return s.frame(packed), nil
+}
+
+// EncodeDeltaFrame is EncodeDeltaFrameBuffer returning an exact heap copy of
+// the frame (the pooled buffer is recycled), as Encode is to EncodeBuffer.
+func EncodeDeltaFrame(full, base []byte, baseWave int) ([]byte, error) {
+	b, err := EncodeDeltaFrameBuffer(full, base, baseWave)
+	if err != nil {
+		return nil, err
+	}
+	return heapCopy(b), nil
+}
+
+// EncodeCompressedFrame is EncodeCompressedFrameBuffer returning an exact
+// heap copy of the frame.
+func EncodeCompressedFrame(full []byte) ([]byte, error) {
+	b, err := EncodeCompressedFrameBuffer(full)
+	if err != nil {
+		return nil, err
+	}
+	return heapCopy(b), nil
+}
+
+// heapCopy releases b and returns its content in an exactly sized slice.
+func heapCopy(b *buf.Buffer) []byte {
+	out := append([]byte(nil), b.Bytes()...)
+	b.Release()
+	return out
 }
 
 // DeltaBaseWave returns the wave number of the base image a delta frame
@@ -406,15 +495,52 @@ func (d *decoder) fixed64(what string) uint64 {
 	return v
 }
 
+// span reads a length-prefixed byte field without copying it: the result
+// aliases the input.
+func (d *decoder) span(what string) []byte {
+	n := d.count(what)
+	if d.err != nil {
+		return nil
+	}
+	out := d.in[:n:n]
+	d.in = d.in[n:]
+	return out
+}
+
 // maxImageLen bounds the reconstructed-image size a frame header may claim,
 // so corrupt input cannot drive an arbitrarily large allocation.
 const maxImageLen = 1 << 27
 
+// pinnedImage returns the length and FNV-1a checksum a compressed or delta
+// frame pins for the full image it reconstructs to. ok is false for plain
+// full images (they pin nothing) and for frames whose header does not parse.
+func pinnedImage(raw []byte) (length, sum uint64, ok bool) {
+	kind, err := Frame(raw)
+	if err != nil || kind == KindFull {
+		return 0, 0, false
+	}
+	meta, err := metaSpan(raw)
+	if err != nil {
+		return 0, 0, false
+	}
+	d := decoder{in: raw[codecHeaderLen+len(meta):]}
+	if kind == KindDelta {
+		d.varint("delta base wave")
+		d.uint64("delta base length")
+		d.fixed64("delta base checksum")
+	}
+	length = d.uint64("full length")
+	sum = d.fixed64("full checksum")
+	return length, sum, d.err == nil
+}
+
 // ReconstructFull turns any frame back into the full codec-v2 image, bit
-// identical to what was encoded. A KindFull frame is returned as-is (aliasing
-// raw); a KindDelta frame requires base to be the exact image identified by
-// DeltaBaseWave, enforced by length+checksum. Corrupt or truncated frames,
-// and wrong bases, yield an error — never a panic.
+// identical to what was encoded. It never modifies raw or base. A KindFull
+// frame is returned as-is, and a frame whose payload was stored uncompressed
+// yields a slice of raw, so the result may alias raw; a KindDelta frame
+// requires base to be the exact image identified by DeltaBaseWave, enforced
+// by length+checksum. Corrupt or truncated frames, and wrong bases, yield an
+// error — never a panic.
 func ReconstructFull(raw, base []byte) ([]byte, error) {
 	kind, err := Frame(raw)
 	if err != nil {
@@ -428,12 +554,14 @@ func ReconstructFull(raw, base []byte) ([]byte, error) {
 		return nil, err
 	}
 	d := decoder{in: raw[codecHeaderLen+len(meta):]}
+	s := decodeScratchPool.Get().(*decodeScratch)
+	defer decodeScratchPool.Put(s)
 
 	if kind == KindCompressed {
 		fullLen := d.uint64("zfull length")
 		fullSum := d.fixed64("zfull checksum")
 		mode := d.bool("zfull mode")
-		packed := d.bytes("zfull payload")
+		packed := d.span("zfull payload")
 		if d.err == nil && len(d.in) != 0 {
 			d.fail("zfull trailing bytes")
 		}
@@ -445,7 +573,8 @@ func ReconstructFull(raw, base []byte) ([]byte, error) {
 		}
 		full := packed
 		if mode {
-			if full, err = inflate(packed, int(fullLen)); err != nil {
+			full = make([]byte, fullLen)
+			if err := s.inflate(packed, full); err != nil {
 				return nil, err
 			}
 		}
@@ -462,7 +591,7 @@ func ReconstructFull(raw, base []byte) ([]byte, error) {
 	fullLen := d.uint64("delta full length")
 	fullSum := d.fixed64("delta full checksum")
 	opCount := d.count("delta ops")
-	ops := make([]deltaOp, 0, opCount)
+	ops := s.ops[:0]
 	for i := 0; i < opCount && d.err == nil; i++ {
 		head := d.uint64("delta op head")
 		op := deltaOp{kind: int(head & 3), length: int(head >> 2)}
@@ -475,8 +604,9 @@ func ReconstructFull(raw, base []byte) ([]byte, error) {
 		}
 		ops = append(ops, op)
 	}
+	s.ops = ops
 	mode := d.bool("delta blob mode")
-	packed := d.bytes("delta blob")
+	packed := d.span("delta blob")
 	if d.err == nil && len(d.in) != 0 {
 		d.fail("delta trailing bytes")
 	}
@@ -501,7 +631,11 @@ func ReconstructFull(raw, base []byte) ([]byte, error) {
 	}
 	blob := packed
 	if mode {
-		if blob, err = inflate(packed, blobLen); err != nil {
+		if cap(s.blob) < blobLen {
+			s.blob = make([]byte, blobLen)
+		}
+		blob = s.blob[:blobLen]
+		if err := s.inflate(packed, blob); err != nil {
 			return nil, err
 		}
 	}
@@ -509,25 +643,27 @@ func ReconstructFull(raw, base []byte) ([]byte, error) {
 		return nil, fmt.Errorf("checkpoint: delta: blob length mismatch")
 	}
 
-	// Grown by append rather than pre-sized to fullLen: the in-loop overflow
-	// check then bounds allocation by actual op progress, not a claimed size.
-	var full []byte
+	// Pre-sized by what the frame really carries (base and blob bytes), never
+	// by the claimed fullLen alone: a corrupt header cannot drive a large
+	// allocation, and the in-loop overflow check bounds growth past it by
+	// actual op progress.
+	full := make([]byte, 0, min(fullLen, uint64(len(base)+blobLen)))
 	for _, op := range ops {
 		switch op.kind {
 		case opCopy, opXOR:
-			if op.baseOff < 0 || op.length < 0 || op.baseOff+op.length > len(base) {
+			// baseOff > len-length, not baseOff+length > len: the sum of two
+			// decoded 63-bit values can wrap.
+			if op.baseOff < 0 || op.length < 0 || op.baseOff > len(base)-op.length {
 				return nil, fmt.Errorf("checkpoint: delta: op range outside base")
 			}
 			if op.kind == opCopy {
 				full = append(full, base[op.baseOff:op.baseOff+op.length]...)
-				continue
+			} else {
+				at := len(full)
+				full = append(full, blob[:op.length]...)
+				subtle.XORBytes(full[at:], full[at:], base[op.baseOff:op.baseOff+op.length])
+				blob = blob[op.length:]
 			}
-			at := len(full)
-			full = append(full, blob[:op.length]...)
-			for i := 0; i < op.length; i++ {
-				full[at+i] ^= base[op.baseOff+i]
-			}
-			blob = blob[op.length:]
 		case opLit:
 			full = append(full, blob[:op.length]...)
 			blob = blob[op.length:]

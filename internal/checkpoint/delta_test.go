@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/mpi"
@@ -217,6 +218,67 @@ func TestReconstructRejectsCorruption(t *testing.T) {
 	}
 }
 
+// handDelta assembles a delta frame field by field, the way a corrupt or
+// hostile writer could: valid magic, meta and base pins, arbitrary ops.
+func handDelta(base []byte, fullLen int, ops []deltaOp, blob []byte) []byte {
+	meta, err := metaSpan(base)
+	if err != nil {
+		panic(err)
+	}
+	e := encoder{}
+	e.out = append(e.out, deltaMagic[:]...)
+	e.out = append(e.out, meta...)
+	e.varint(0)
+	e.uint64(uint64(len(base)))
+	e.out = binary.LittleEndian.AppendUint64(e.out, fnv1a(base))
+	e.uint64(uint64(fullLen))
+	e.out = binary.LittleEndian.AppendUint64(e.out, 0)
+	e.uint64(uint64(len(ops)))
+	for _, op := range ops {
+		e.uint64(uint64(op.length)<<2 | uint64(op.kind))
+		if op.kind != opLit {
+			e.uint64(uint64(op.baseOff))
+		}
+	}
+	e.out = append(e.out, 0) // stored blob
+	e.bytes(blob)
+	return e.out
+}
+
+// overflowingOpFrame is the frame that used to panic ReconstructFull: one XOR
+// op whose base offset plus length wraps past the int range, so the sum
+// compared below len(base).
+func overflowingOpFrame(base []byte) []byte {
+	return handDelta(base, 10, []deltaOp{{kind: opXOR, length: 10, baseOff: 1<<63 - 6}}, make([]byte, 10))
+}
+
+func TestReconstructRejectsWrappingOpRange(t *testing.T) {
+	base := encodeAt(t, driftCheckpoint(128, 0), 0)
+	if _, err := ReconstructFull(overflowingOpFrame(base), base); err == nil || !strings.Contains(err.Error(), "op range outside base") {
+		t.Fatalf("wrapping op range: err = %v, want an op-range error", err)
+	}
+	// In range, the same frame shape reconstructs up to the checksum.
+	ok := handDelta(base, 10, []deltaOp{{kind: opXOR, length: 10, baseOff: len(base) - 10}}, make([]byte, 10))
+	if _, err := ReconstructFull(ok, base); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("in-range op: err = %v, want a checksum mismatch", err)
+	}
+}
+
+// TestReconstructBoundsCopyOps: COPY ops count against the claimed image
+// length as they are applied, so a frame of a few hundred bytes cannot make
+// the reader assemble gigabytes before the final length check.
+func TestReconstructBoundsCopyOps(t *testing.T) {
+	base := encodeAt(t, driftCheckpoint(128, 0), 0)
+	ops := make([]deltaOp, 64)
+	for i := range ops {
+		ops[i] = deltaOp{kind: opCopy, length: len(base)}
+	}
+	_, err := ReconstructFull(handDelta(base, len(base), ops, nil), base)
+	if err == nil || !strings.Contains(err.Error(), "ops overflow image length") {
+		t.Fatalf("64 whole-base copies into a one-base image: err = %v, want the overflow error", err)
+	}
+}
+
 func mustDelta(t *testing.T, full, base []byte, baseWave int) []byte {
 	t.Helper()
 	frame, err := EncodeDeltaFrame(full, base, baseWave)
@@ -253,6 +315,7 @@ func FuzzDeltaDecode(f *testing.F) {
 	f.Add(delta, base)
 	f.Add(zfull, []byte(nil))
 	f.Add(full, base)
+	f.Add(overflowingOpFrame(base), base)
 	for i := 0; i < 16; i++ {
 		mut := append([]byte(nil), delta...)
 		mut[rng.Intn(len(mut))] ^= byte(1 << rng.Intn(8))

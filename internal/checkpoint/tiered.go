@@ -19,10 +19,26 @@ package checkpoint
 //     frame), so a corrupt copy is detected at recovery time and Load retries
 //     the chain against the replica before giving up.
 //
-// Load's fast path decodes the materialized full image cached alongside the
-// hot entry (reconstructed eagerly off the critical path when the wave was
-// staged), so steady-state recovery cost stays at one plain Decode; the chain
-// walk is only paid when recovery outlives the hot ring or a copy is damaged.
+// Nothing is decoded on the write path. A plain full image is its own
+// materialized form. For a compressed or delta frame the committer — which
+// still holds the wave's full v2 image as the rank's next delta base — offers
+// that buffer through AdoptImage once the wave has published, and the hot
+// entry shares it by reference: one in-memory copy of a rank's latest image
+// serves both as delta base and as recovery fast path. The tier adopts only an
+// image whose length and FNV-1a are the ones pinned in the header of the frame
+// it staged, so a frame damaged on its way in is never hidden behind a clean
+// image; such an entry, or one nobody offered an image for, stays
+// unmaterialized.
+//
+// Load's fast path decodes the materialized image of the latest hot entry, so
+// steady-state recovery cost stays at one plain Decode; the chain walk is only
+// paid when the entry is unmaterialized, recovery outlives the hot ring or a
+// copy is damaged.
+//
+// Ownership: every holder of a staged frame or an adopted image owns one
+// reference to its buf.Buffer and treats the bytes as immutable. A hot entry
+// drops its references when it leaves the ring — eviction, anchor GC or an
+// overwrite of the same (rank, wave).
 
 import (
 	"errors"
@@ -98,12 +114,24 @@ func (c TieredConfig) normalized() TieredConfig {
 }
 
 // hotEntry is one durable wave in the hot ring: the staged representation
-// verbatim plus, when reconstruction succeeded at stage time, the
-// materialized full v2 image (which may alias rep's storage for plain full
-// frames — read it only while holding a rep reference).
+// verbatim plus, once known, the materialized full v2 image — the frame itself
+// for a plain full image, the buffer adopted from the committer otherwise.
+// The entry owns one reference to each.
 type hotEntry struct {
 	rep  *buf.Buffer
-	full []byte
+	full *buf.Buffer // nil while unmaterialized
+	// pinLen and pinSum are the image length and FNV-1a pinned in rep's
+	// header; adoptable says they parsed and full may still be adopted.
+	pinLen, pinSum uint64
+	adoptable      bool
+}
+
+// release drops the entry's buffer references.
+func (e *hotEntry) release() {
+	e.rep.Release()
+	if e.full != nil {
+		e.full.Release()
+	}
 }
 
 // TieredStorage implements WaveStorage over a hot ring + cold tier(s).
@@ -159,74 +187,70 @@ func (t *TieredStorage) LostErr() error {
 	return t.lostErr
 }
 
-// hotBase returns the materialized full image of (rank, wave) plus a
-// reference pinning its storage, or nils if not hot/materialized.
-func (t *TieredStorage) hotBase(rank, wave int) ([]byte, *buf.Buffer) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e := t.hot[rank][wave]; e != nil && e.full != nil {
-		return e.full, e.rep.Retain()
-	}
-	return nil, nil
-}
-
 // StageImage implements WaveStorage. The image may be any codec frame; the
 // staged bytes are kept verbatim (the in-memory model of stable storage, as
-// MemoryStorage), and the full image is materialized eagerly here — on the
-// committer's background path — so the commit closure and the recovery fast
-// path stay cheap. A frame that fails to materialize (e.g. an injected
-// corruption) still stages: the damage is detected when recovery walks the
-// chain, preserving FaultStorage's detected-corruption regime.
+// MemoryStorage) and only the frame's header is read: the wave it belongs to
+// and, for a compressed or delta frame, the image length and checksum it pins
+// (what AdoptImage later checks an offered image against). A frame whose
+// header does not parse (e.g. an injected corruption) still stages: the damage
+// is detected when recovery walks the chain, preserving FaultStorage's
+// detected-corruption regime.
 func (t *TieredStorage) StageImage(rank int, image *buf.Buffer) (func() error, func(), error) {
-	staged := image.Retain()
-	raw := staged.Bytes()
+	entry := &hotEntry{rep: image.Retain()}
+	raw := entry.rep.Bytes()
 
 	wave := -1
-	selfDesc := true
 	if meta, err := DecodeMeta(raw); err == nil {
 		wave = meta.Wave
 	}
-	var full []byte
+	selfDesc := true
 	if kind, err := Frame(raw); err == nil {
-		switch kind {
-		case KindFull:
-			full = raw
-		case KindCompressed:
-			if img, err := ReconstructFull(raw, nil); err == nil {
-				full = img
-			}
-		case KindDelta:
-			selfDesc = false
-			if bw, err := DeltaBaseWave(raw); err == nil {
-				if base, ref := t.hotBase(rank, bw); ref != nil {
-					if img, err := ReconstructFull(raw, base); err == nil {
-						full = img
-					}
-					ref.Release()
-				}
-			}
+		selfDesc = kind.SelfDescribing()
+		if kind == KindFull {
+			entry.full = entry.rep.Retain()
+		} else if wave >= 0 {
+			entry.pinLen, entry.pinSum, entry.adoptable = pinnedImage(raw)
 		}
 	}
 
 	committed := false
 	commit := func() error {
 		committed = true
-		t.commitStaged(rank, wave, staged, full, selfDesc)
+		t.commitStaged(rank, wave, entry, selfDesc)
 		return nil
 	}
 	abort := func() {
 		if !committed {
-			staged.Release()
+			entry.release()
 		}
 	}
 	return commit, abort, nil
 }
 
-// commitStaged publishes a staged representation: installs the hot entry,
-// queues the async demotion, evicts beyond the ring size, and applies anchor
-// GC when the wave is self-describing. It takes over the staged reference.
-func (t *TieredStorage) commitStaged(rank, wave int, staged *buf.Buffer, full []byte, selfDesc bool) {
-	var drop []*buf.Buffer
+// AdoptImage offers the tier the full v2 image of a wave it has published, so
+// the hot entry can serve recovery without reconstructing its frame. The tier
+// takes its own reference, and only if the image's length and FNV-1a equal
+// the ones pinned in the staged frame's header.
+func (t *TieredStorage) AdoptImage(rank, wave int, full *buf.Buffer) {
+	t.mu.Lock()
+	e := t.hot[rank][wave]
+	t.mu.Unlock()
+	// adoptable and the pins are written once, before the entry is published.
+	if e == nil || !e.adoptable || uint64(full.Len()) != e.pinLen || fnv1a(full.Bytes()) != e.pinSum {
+		return
+	}
+	t.mu.Lock()
+	if t.hot[rank][wave] == e && e.full == nil {
+		e.full = full.Retain()
+	}
+	t.mu.Unlock()
+}
+
+// commitStaged publishes a staged entry: installs it in the hot ring, queues
+// the async demotion, evicts beyond the ring size, and applies anchor GC when
+// the wave is self-describing. It takes over the entry's references.
+func (t *TieredStorage) commitStaged(rank, wave int, entry *hotEntry, selfDesc bool) {
+	var drop []*hotEntry
 
 	t.mu.Lock()
 	if wave < 0 {
@@ -239,17 +263,22 @@ func (t *TieredStorage) commitStaged(rank, wave int, staged *buf.Buffer, full []
 		t.pending[rank] = make(map[int]*buf.Buffer)
 	}
 	if old := t.hot[rank][wave]; old != nil {
-		drop = append(drop, old.rep)
+		drop = append(drop, old)
+		delete(t.hot[rank], wave)
 	}
 	if t.cfg.HotWaves > 0 {
-		t.hot[rank][wave] = &hotEntry{rep: staged, full: full}
+		t.hot[rank][wave] = entry
+	} else {
+		drop = append(drop, entry)
 	}
 	t.latest[rank] = wave
 
 	// Write-through: cold demotion starts from its own reference, so hot
-	// eviction never races the demotion worker.
-	t.pending[rank][wave] = staged.Retain()
-	demoteRef := staged.Retain()
+	// eviction never races the demotion worker. stale is the pending
+	// reference of an overwritten wave whose demotion is still in flight.
+	stale := t.pending[rank][wave]
+	t.pending[rank][wave] = entry.rep.Retain()
+	demoteRef := entry.rep.Retain()
 	t.wg.Add(1)
 	if !t.cfg.SyncDemotion {
 		go t.demote(rank, wave, demoteRef)
@@ -262,7 +291,7 @@ func (t *TieredStorage) commitStaged(rank, wave int, staged *buf.Buffer, full []
 		t.floor[rank] = wave
 		for w, e := range t.hot[rank] {
 			if w < wave {
-				drop = append(drop, e.rep)
+				drop = append(drop, e)
 				delete(t.hot[rank], w)
 			}
 		}
@@ -281,16 +310,16 @@ func (t *TieredStorage) commitStaged(rank, wave int, staged *buf.Buffer, full []
 				oldest = w
 			}
 		}
-		drop = append(drop, t.hot[rank][oldest].rep)
+		drop = append(drop, t.hot[rank][oldest])
 		delete(t.hot[rank], oldest)
 	}
 	t.mu.Unlock()
 
-	if t.cfg.HotWaves == 0 {
-		staged.Release()
+	for _, e := range drop {
+		e.release()
 	}
-	for _, b := range drop {
-		b.Release()
+	if stale != nil {
+		stale.Release()
 	}
 	if t.cfg.SyncDemotion {
 		t.demote(rank, wave, demoteRef)
@@ -309,8 +338,11 @@ func (t *TieredStorage) demote(rank, wave int, rep *buf.Buffer) {
 	out := frame
 	if t.cfg.CompressCold {
 		if k, err := Frame(frame); err == nil && k == KindFull {
-			if z, err := EncodeCompressedFrame(frame); err == nil && len(z) < len(frame) {
-				out = z
+			if z, err := EncodeCompressedFrameBuffer(frame); err == nil {
+				defer z.Release()
+				if z.Len() < len(frame) {
+					out = z.Bytes()
+				}
 			}
 		}
 	}
@@ -324,7 +356,8 @@ func (t *TieredStorage) demote(rank, wave int, rep *buf.Buffer) {
 	t.demotions.Add(1)
 
 	t.mu.Lock()
-	if p := t.pending[rank][wave]; p != nil {
+	if p := t.pending[rank][wave]; p == rep {
+		// Still this frame's entry (not one that overwrote the wave since).
 		delete(t.pending[rank], wave)
 		defer p.Release()
 	}
@@ -364,11 +397,12 @@ func (t *TieredStorage) gcCold(rank, anchor int) {
 }
 
 // frameFor fetches the staged representation of (rank, wave): hot ring, then
-// pending demotions, then the cold tiers in preference order. fromReplica
-// reports that the bytes came from the buddy copy.
-func (t *TieredStorage) frameFor(rank, wave int, preferReplica bool) (frame []byte, fromReplica bool, err error) {
+// pending demotions, then the cold tiers in preference order. A frame served
+// from memory comes with a reference pinning it, which the caller releases
+// when done reading; cold frames come with nil. fromReplica reports that the
+// bytes came from the buddy copy.
+func (t *TieredStorage) frameFor(rank, wave int, preferReplica bool) (frame []byte, ref *buf.Buffer, fromReplica bool, err error) {
 	t.mu.Lock()
-	var ref *buf.Buffer
 	if e := t.hot[rank][wave]; e != nil {
 		ref = e.rep.Retain()
 	} else if p := t.pending[rank][wave]; p != nil {
@@ -376,9 +410,7 @@ func (t *TieredStorage) frameFor(rank, wave int, preferReplica bool) (frame []by
 	}
 	t.mu.Unlock()
 	if ref != nil {
-		out := append([]byte(nil), ref.Bytes()...)
-		ref.Release()
-		return out, false, nil
+		return ref.Bytes(), ref, false, nil
 	}
 
 	first, second := t.cfg.Cold, t.cfg.Replica
@@ -387,16 +419,16 @@ func (t *TieredStorage) frameFor(rank, wave int, preferReplica bool) (frame []by
 	}
 	out, errP := first.Get(rank, wave)
 	if errP == nil {
-		return out, first != t.cfg.Cold, nil
+		return out, nil, first != t.cfg.Cold, nil
 	}
 	if second == nil || second == first {
-		return nil, false, errP
+		return nil, nil, false, errP
 	}
 	out, errS := second.Get(rank, wave)
 	if errS != nil {
-		return nil, false, errP
+		return nil, nil, false, errP
 	}
-	return out, second != t.cfg.Cold, nil
+	return out, nil, second != t.cfg.Cold, nil
 }
 
 // maxChainWalk bounds a recovery chain walk; a chain longer than this can
@@ -404,15 +436,25 @@ func (t *TieredStorage) frameFor(rank, wave int, preferReplica bool) (frame []by
 const maxChainWalk = 1 << 16
 
 // loadChain reconstructs the full image of (rank, latest) by walking delta
-// frames back to a self-describing anchor and applying them forward.
+// frames back to a self-describing anchor and applying them forward. Frames
+// served from memory are read in place, pinned for the duration of the walk.
 func (t *TieredStorage) loadChain(rank, latest int, preferReplica bool) (*Checkpoint, bool, error) {
 	var frames [][]byte
+	var refs []*buf.Buffer
+	defer func() {
+		for _, ref := range refs {
+			ref.Release()
+		}
+	}()
 	usedReplica := false
 	wave := latest
 	for {
-		fr, fromRep, err := t.frameFor(rank, wave, preferReplica)
+		fr, ref, fromRep, err := t.frameFor(rank, wave, preferReplica)
 		if err != nil {
 			return nil, usedReplica, fmt.Errorf("checkpoint: tiered: rank %d wave %d: %w", rank, wave, err)
+		}
+		if ref != nil {
+			refs = append(refs, ref)
 		}
 		usedReplica = usedReplica || fromRep
 		frames = append(frames, fr)
@@ -468,19 +510,17 @@ func (t *TieredStorage) coldLatest(rank int) (int, bool) {
 func (t *TieredStorage) Load(rank int) (*Checkpoint, bool, error) {
 	t.mu.Lock()
 	latest, ok := t.latest[rank]
-	var full []byte
-	var ref *buf.Buffer
+	var full *buf.Buffer
 	if ok {
 		if e := t.hot[rank][latest]; e != nil && e.full != nil {
-			full = e.full
-			ref = e.rep.Retain()
+			full = e.full.Retain()
 		}
 	}
 	t.mu.Unlock()
 
-	if ref != nil {
-		cp, err := Decode(full)
-		ref.Release()
+	if full != nil {
+		cp, err := Decode(full.Bytes())
+		full.Release()
 		if err == nil {
 			return cp, true, nil
 		}

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -101,8 +102,9 @@ func TestTieredDeltaChainColdWalk(t *testing.T) {
 }
 
 // TestTieredHotFastPath proves the steady-state recovery path never touches
-// the cold tier: the primary fails every Get, yet Load succeeds because the
-// materialized image sits in the hot ring.
+// the cold tier: the primary fails every Get, yet Load succeeds — from the
+// hot frames while the delta entry is unmaterialized, from the adopted image
+// once the committer has offered it.
 func TestTieredHotFastPath(t *testing.T) {
 	broken, err := NewFaultColdStore(NewMemColdStore(),
 		FaultRule{Op: OpLoad, Mode: ModeFail, Rank: -1})
@@ -112,9 +114,201 @@ func TestTieredHotFastPath(t *testing.T) {
 	ts := NewTieredStorage(TieredConfig{Cold: broken})
 	fulls := [][]byte{tierImage(t, 0, 0), tierImage(t, 0, 1)}
 	stageFrame(t, ts, 0, fulls[0])
-	// The delta's base is hot, so the full image materializes at stage time.
 	stageFrame(t, ts, 0, mustDelta(t, fulls[1], fulls[0], 0))
 	loadEqual(t, ts, 0, fulls[1])
+	if ts.hot[0][1].full != nil {
+		t.Fatal("a delta frame nobody offered an image for is materialized")
+	}
+
+	img := buf.Copy(fulls[1])
+	defer img.Release()
+	ts.AdoptImage(0, 1, img)
+	if ts.hot[0][1].full != img || img.Refs() != 2 {
+		t.Fatalf("matching image not adopted by reference (refs %d)", img.Refs())
+	}
+	loadEqual(t, ts, 0, fulls[1])
+}
+
+// stageThrough stages one frame through a decorator stack the way the
+// committer does — stage, commit, then offer the wave's full image to the tier
+// underneath — and returns the offered image (the caller owns one reference).
+func stageThrough(t *testing.T, ws WaveStorage, ts *TieredStorage, rank, wave int, frame *buf.Buffer, full []byte) *buf.Buffer {
+	t.Helper()
+	img := buf.Copy(full)
+	if bytes.Equal(frame.Bytes(), full) {
+		img.Release()
+		img = frame.Retain() // a raw full image is staged and kept as one buffer
+	}
+	commit, abort, err := ws.StageImage(rank, frame)
+	if err != nil {
+		t.Fatalf("stage: %v", err)
+	}
+	if err := commit(); err != nil {
+		abort()
+		t.Fatalf("commit: %v", err)
+	}
+	ts.AdoptImage(rank, wave, img)
+	return img
+}
+
+// TestTieredAdoptionNeverMasksCorruptFrame: a frame FaultStorage corrupted in
+// place on its way into the tier must not be hidden behind the clean image
+// the committer offers after the wave published. Recovery has to see — and
+// reject — the damaged frame, for every frame kind.
+func TestTieredAdoptionNeverMasksCorruptFrame(t *testing.T) {
+	base, full := tierImage(t, 0, 1), tierImage(t, 0, 2)
+	delta, err := EncodeDeltaFrameBuffer(full, base, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zfull, err := EncodeCompressedFrameBuffer(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, frame := range map[string]*buf.Buffer{"delta": delta, "zfull": zfull, "full": buf.Copy(full)} {
+		for _, corrupt := range []bool{false, true} {
+			ts := NewTieredStorage(TieredConfig{})
+			stageFrame(t, ts, 0, base)
+			var rules []FaultRule
+			if corrupt {
+				rules = append(rules, FaultRule{Op: OpStage, Mode: ModeCorrupt, Rank: -1})
+			}
+			fs, err := NewFaultStorage(ts, rules...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			staged := buf.Copy(frame.Bytes())
+			img := stageThrough(t, fs, ts, 0, 2, staged, full)
+			ts.Quiesce()
+			cp, ok, err := fs.Load(0)
+			switch {
+			case !corrupt:
+				if err != nil || !ok || cp.Wave != 2 {
+					t.Errorf("%s: clean wave: ok=%v err=%v", name, ok, err)
+				}
+				if wantRefs := 2; name != "full" && img.Refs() != wantRefs {
+					t.Errorf("%s: clean image refs = %d, want %d (offered + adopted)", name, img.Refs(), wantRefs)
+				}
+			case err == nil:
+				t.Errorf("%s: recovery returned wave %d although the staged frame was corrupted", name, cp.Wave)
+			case name != "full" && img.Refs() != 1:
+				t.Errorf("%s: the tier adopted a clean image for a corrupt frame (refs %d)", name, img.Refs())
+			}
+			img.Release()
+			staged.Release()
+		}
+		frame.Release()
+	}
+}
+
+// TestTieredAdoptionRejectsMismatch: only the image the staged frame's header
+// pins is adopted, and an entry indexed without decodable meta never adopts.
+func TestTieredAdoptionRejectsMismatch(t *testing.T) {
+	base, full, other := tierImage(t, 0, 1), tierImage(t, 0, 2), tierImage(t, 1, 2)
+	ts := NewTieredStorage(TieredConfig{})
+	stageFrame(t, ts, 0, base)
+	stageFrame(t, ts, 0, mustDelta(t, full, base, 1))
+
+	offer := func(wave int, image []byte) int {
+		b := buf.Copy(image)
+		defer b.Release()
+		ts.AdoptImage(0, wave, b)
+		return b.Refs()
+	}
+	if refs := offer(2, other); refs != 1 {
+		t.Errorf("image of another rank adopted (refs %d)", refs)
+	}
+	if refs := offer(2, full[:len(full)-1]); refs != 1 {
+		t.Errorf("truncated image adopted (refs %d)", refs)
+	}
+	if refs := offer(7, full); refs != 1 {
+		t.Errorf("image adopted for a wave that is not hot (refs %d)", refs)
+	}
+	if refs := offer(2, full); refs != 2 {
+		t.Errorf("matching image not adopted (refs %d)", refs)
+	}
+	if refs := offer(2, full); refs != 1 {
+		t.Errorf("second offer replaced the adopted image (refs %d)", refs)
+	}
+
+	// Valid delta magic, undecodable meta: the tier indexes the frame after
+	// the latest wave — exactly where the committer's wave 3 would sit.
+	next := tierImage(t, 0, 3)
+	broken := mustDelta(t, next, full, 2)
+	for i := codecHeaderLen; i < codecHeaderLen+maxVarintLen; i++ {
+		broken[i] = 0xff
+	}
+	if _, err := DecodeMeta(broken); err == nil {
+		t.Fatal("test frame's meta still decodes")
+	}
+	stageFrame(t, ts, 0, broken)
+	if ts.hot[0][3] == nil {
+		t.Fatal("undecodable frame not indexed after the latest wave")
+	}
+	if refs := offer(3, next); refs != 1 {
+		t.Errorf("image adopted for an undecodable-meta frame (refs %d)", refs)
+	}
+	if _, _, err := ts.Load(0); err == nil {
+		t.Error("recovery accepted the undecodable latest wave")
+	}
+}
+
+// TestTieredReleasesAdoptedImages walks one rank through delta chains, forced
+// anchors, ring eviction, an overwrite and Quiesce, and requires every frame
+// and every adopted image to be released as its entry leaves the hot ring.
+func TestTieredReleasesAdoptedImages(t *testing.T) {
+	for _, cfg := range []TieredConfig{{}, {SyncDemotion: true}, {HotWaves: -1, SyncDemotion: true}} {
+		ts := NewTieredStorage(cfg)
+		const waves = 9
+		var frames, images []*buf.Buffer
+		prev := tierImage(t, 0, 0)
+		for w := 1; w <= waves; w++ {
+			full := tierImage(t, 0, w)
+			var frame *buf.Buffer
+			var err error
+			if w%4 == 1 {
+				frame, err = EncodeCompressedFrameBuffer(full) // anchor
+			} else {
+				frame, err = EncodeDeltaFrameBuffer(full, prev, w-1)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, frame)
+			images = append(images, stageThrough(t, ts, ts, 0, w, frame, full))
+			if w == 7 { // the same wave staged again replaces its entry
+				again := buf.Copy(frame.Bytes())
+				frames = append(frames, again)
+				images = append(images, stageThrough(t, ts, ts, 0, w, again, full))
+			}
+			prev = full
+		}
+		ts.Quiesce()
+		loadEqual(t, ts, 0, prev)
+
+		hot := 0
+		for _, e := range ts.hot[0] {
+			hot++
+			if cfg.HotWaves >= 0 && e.full == nil {
+				t.Errorf("HotWaves %d: hot entry without adopted image", cfg.HotWaves)
+			}
+		}
+		if want := ts.cfg.HotWaves; hot > want || (want > 0 && hot == 0) {
+			t.Errorf("HotWaves %d: %d hot entries, want at most %d", cfg.HotWaves, hot, want)
+		}
+		held := 0
+		for i := range frames {
+			held += frames[i].Refs() - 1 + images[i].Refs() - 1
+		}
+		if held != 2*hot {
+			t.Errorf("HotWaves %d sync %v: tier holds %d references after quiesce, want %d (frame and image of %d hot entries)",
+				cfg.HotWaves, cfg.SyncDemotion, held, 2*hot, hot)
+		}
+		for i := range frames {
+			frames[i].Release()
+			images[i].Release()
+		}
+	}
 }
 
 func TestTieredReplicaFallbackOnPrimaryGetFailure(t *testing.T) {

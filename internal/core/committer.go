@@ -117,8 +117,8 @@ func newCommitter(e *Engine, storage checkpoint.Storage) *committer {
 	c := &committer{e: e, storage: storage}
 	c.ws, _ = storage.(checkpoint.WaveStorage)
 	if c.ws != nil {
-		if policy, ok := probeDeltaPolicy(c.ws); ok {
-			c.delta = newDeltaState(policy.Normalized())
+		if sink := probeDeltaSink(c.ws); sink != nil {
+			c.delta = newDeltaState(sink)
 		}
 	}
 	for i := range c.shards {
@@ -393,7 +393,8 @@ func (c *committer) commitWave(s *commitShard, w *wave) {
 		} else {
 			cnt.fullImages.Add(1)
 		}
-		// The published wave becomes the rank's next delta base.
+		// The published wave becomes the rank's next delta base, and the
+		// tier's materialized image of it.
 		c.delta.publish(p)
 	}
 

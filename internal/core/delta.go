@@ -18,9 +18,12 @@ import (
 // base is a durable wave of the same rank.
 
 // deltaSink is the capability probe: a WaveStorage that understands codec-v3
-// frames and wants delta-encoded stages.
+// frames and wants delta-encoded stages. Once a wave has published, the sink
+// is offered the wave's full images — the buffers the committer keeps as delta
+// bases anyway — so it need not reconstruct them from the frames it staged.
 type deltaSink interface {
 	DeltaPolicy() (checkpoint.DeltaPolicy, bool)
+	AdoptImage(rank, wave int, full *buf.Buffer)
 }
 
 // storageUnwrapper lets the probe see through decorators (FaultStorage, the
@@ -29,12 +32,15 @@ type storageUnwrapper interface {
 	Unwrap() checkpoint.WaveStorage
 }
 
-// probeDeltaPolicy walks the storage decorator chain looking for a
+// probeDeltaSink walks the storage decorator chain looking for a
 // delta-capable tier.
-func probeDeltaPolicy(ws checkpoint.WaveStorage) (checkpoint.DeltaPolicy, bool) {
+func probeDeltaSink(ws checkpoint.WaveStorage) deltaSink {
 	for ws != nil {
 		if ds, ok := ws.(deltaSink); ok {
-			return ds.DeltaPolicy()
+			if _, enabled := ds.DeltaPolicy(); !enabled {
+				return nil
+			}
+			return ds
 		}
 		u, ok := ws.(storageUnwrapper)
 		if !ok {
@@ -42,7 +48,7 @@ func probeDeltaPolicy(ws checkpoint.WaveStorage) (checkpoint.DeltaPolicy, bool) 
 		}
 		ws = u.Unwrap()
 	}
-	return checkpoint.DeltaPolicy{}, false
+	return nil
 }
 
 // prevImage is a rank's delta base: its last published full image.
@@ -77,13 +83,15 @@ func (p *deltaPlan) drop() {
 // different shard goroutine — between waves (the switch flushes the
 // committer, so per-rank stage order still holds).
 type deltaState struct {
+	sink   deltaSink
 	policy checkpoint.DeltaPolicy
 	mu     sync.Mutex
 	prev   map[int]*prevImage
 }
 
-func newDeltaState(policy checkpoint.DeltaPolicy) *deltaState {
-	return &deltaState{policy: policy, prev: make(map[int]*prevImage)}
+func newDeltaState(sink deltaSink) *deltaState {
+	policy, _ := sink.DeltaPolicy()
+	return &deltaState{sink: sink, policy: policy.Normalized(), prev: make(map[int]*prevImage)}
 }
 
 // encode picks the staged representation for one member's full image. It
@@ -104,33 +112,41 @@ func (d *deltaState) encode(rank, wave int, full *buf.Buffer) (*buf.Buffer, *del
 	}
 	d.mu.Unlock()
 
-	if base != nil && chain+1 < d.policy.MaxChain {
-		frame, err := checkpoint.EncodeDeltaFrame(fb, base.Bytes(), baseWave)
-		if err == nil && float64(len(frame)) <= d.policy.MinGain*float64(len(fb)) {
-			base.Release()
-			plan.chain = chain + 1
-			plan.isDelta = true
-			plan.stagedLen = len(frame)
-			return frameBuffer(frame), plan
-		}
-	}
 	if base != nil {
+		if chain+1 < d.policy.MaxChain {
+			frame, err := checkpoint.EncodeDeltaFrameBuffer(fb, base.Bytes(), baseWave)
+			if err == nil && float64(frame.Len()) <= d.policy.MinGain*float64(len(fb)) {
+				base.Release()
+				plan.chain = chain + 1
+				plan.isDelta = true
+				plan.stagedLen = frame.Len()
+				return frame, plan
+			}
+			if err == nil {
+				frame.Release()
+			}
+		}
 		base.Release()
 	}
 
 	// Anchor (or poor-gain fallback): a self-describing full frame,
 	// compressed when that actually shrinks it.
-	if frame, err := checkpoint.EncodeCompressedFrame(fb); err == nil && len(frame) < len(fb) {
-		plan.stagedLen = len(frame)
-		return frameBuffer(frame), plan
+	if frame, err := checkpoint.EncodeCompressedFrameBuffer(fb); err == nil {
+		if frame.Len() < len(fb) {
+			plan.stagedLen = frame.Len()
+			return frame, plan
+		}
+		frame.Release()
 	}
 	plan.stagedLen = len(fb)
 	return full.Retain(), plan
 }
 
 // publish advances the rank's base to the published wave's full image,
-// taking over the plan's reference.
+// taking over the plan's reference, and offers the same buffer to the tier:
+// base and hot entry share one copy of the rank's latest image.
 func (d *deltaState) publish(p *deltaPlan) {
+	d.sink.AdoptImage(p.rank, p.wave, p.full)
 	d.mu.Lock()
 	old := d.prev[p.rank]
 	d.prev[p.rank] = &prevImage{img: p.full, wave: p.wave, chain: p.chain}
@@ -149,12 +165,4 @@ func (d *deltaState) close() {
 	for _, p := range prev {
 		p.img.Release()
 	}
-}
-
-// frameBuffer copies an encoded frame into a pooled buffer for StageImage.
-func frameBuffer(frame []byte) *buf.Buffer {
-	b := buf.Get(len(frame))
-	copy(b.Bytes(), frame)
-	b.Truncate(len(frame))
-	return b
 }
