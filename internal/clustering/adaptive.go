@@ -60,32 +60,14 @@ func ShouldRepartition(p *Profile, current, candidate []int, h Hysteresis) bool 
 // SameAssignment reports whether two cluster assignments are identical.
 func SameAssignment(a, b []int) bool { return slices.Equal(a, b) }
 
-// WindowProfile builds the profile of the traffic between two cumulative
-// per-(src, dst) byte snapshots: cur minus prev, element-wise. prev may be
-// nil (the first window starts at zero). Both snapshots are indexed
-// [src][dst] with src == dst entries ignored.
-func WindowProfile(cur, prev [][]uint64, ranksPerNode int) *Profile {
-	p := NewProfile(len(cur), ranksPerNode)
-	for src := range cur {
-		for dst, b := range cur[src] {
-			if prev != nil {
-				b -= prev[src][dst]
-			}
-			if src != dst && b > 0 {
-				p.Add(src, dst, b)
-			}
-		}
-	}
-	return p
-}
-
-// WindowProfileSparse is WindowProfile over sparse cumulative snapshots:
-// per-source destination→bytes maps, nil map meaning no traffic from that
-// source. Counters are cumulative (they only grow), so every pair present
+// WindowProfileSparse builds the profile of the traffic between two
+// cumulative snapshots, cur minus prev, pair by pair. prev may be nil (the
+// first window starts at zero). Snapshots are per-source destination→bytes
+// maps, nil map meaning no traffic from that source; src == dst entries are
+// ignored. Counters are cumulative (they only grow), so every pair present
 // in prev is present in cur and the element-wise difference covers all
-// window traffic. This is the scale path: the live profile at 65k ranks
-// holds O(nnz) counters, and building the window never materializes an
-// n×n matrix.
+// window traffic. The live profile at 65k ranks holds O(nnz) counters, and
+// building the window never materializes an n×n matrix.
 func WindowProfileSparse(cur, prev []map[int]uint64, ranksPerNode int) *Profile {
 	p := NewProfile(len(cur), ranksPerNode)
 	for src, m := range cur {

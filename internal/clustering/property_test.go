@@ -120,13 +120,13 @@ func TestShouldRepartitionHysteresis(t *testing.T) {
 }
 
 func TestWindowProfile(t *testing.T) {
-	prev := [][]uint64{{0, 10}, {5, 0}}
-	cur := [][]uint64{{0, 30}, {5, 0}}
-	w := WindowProfile(cur, prev, 1)
-	if w.Bytes[0][1] != 20 || w.Bytes[1][0] != 0 {
-		t.Fatalf("window = %v, want delta {0->1: 20}", w.Bytes)
+	prev := []map[int]uint64{{1: 10}, {0: 5}}
+	cur := []map[int]uint64{{1: 30}, {0: 5}}
+	w := WindowProfileSparse(cur, prev, 1)
+	if w.At(0, 1) != 20 || w.At(1, 0) != 0 || w.TotalBytes() != 20 {
+		t.Fatalf("window 0->1 = %d, 1->0 = %d, want delta {0->1: 20}", w.At(0, 1), w.At(1, 0))
 	}
-	if got := WindowProfile(cur, nil, 1); got.Bytes[0][1] != 30 || got.Bytes[1][0] != 5 {
-		t.Fatalf("nil prev must yield the cumulative profile, got %v", got.Bytes)
+	if got := WindowProfileSparse(cur, nil, 1); got.At(0, 1) != 30 || got.At(1, 0) != 5 {
+		t.Fatalf("nil prev must yield the cumulative profile, got 0->1 = %d, 1->0 = %d", got.At(0, 1), got.At(1, 0))
 	}
 }
