@@ -7,15 +7,15 @@ package bench
 // two host-resource figures: wall-clock nanoseconds per simulated send (the
 // runtime's per-operation cost, which must stay flat as the world grows) and
 // the peak heap the run touched (which must grow sublinearly in ranks — a
-// per-rank footprint that is itself O(world), like the dense per-message
-// vector-clock clones the compact wire format replaced, shows up here as a
-// superlinear curve). Both figures are gated against the smallest cell of
-// the sweep, so BENCH_scale_<name>.json is a regression fence in the same
-// way BENCH_perf_<name>.json fences the per-operation hot path.
+// per-rank footprint that is itself O(world), like a dense world-sized
+// clone per message, shows up here as a superlinear curve). Both figures
+// are gated against the smallest cell of the sweep, so
+// BENCH_scale_<name>.json is a regression fence in the same way
+// BENCH_perf_<name>.json fences the per-operation hot path.
 //
 // Cells drive the engine directly rather than through the runner: the
-// runner's SPBC path adds a profiling pre-run and a trace recorder, which
-// belong to the small-scale determinism harness, not to a 65536-rank cell.
+// runner's SPBC path adds a profiling pre-run, which belongs to the
+// small-scale harness, not to a 65536-rank cell.
 // The spbc-adaptive cells seed the adaptive controller with the same block
 // partition and set one node per cluster, so repartitioning works at
 // cluster granularity and `clustering.Partition` takes its O(ranks) path —

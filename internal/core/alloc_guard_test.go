@@ -1,9 +1,12 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/buf"
+	"repro/internal/logstore"
+	"repro/internal/mpi"
 )
 
 // Allocation-regression guards on the steady-state eager send path. The
@@ -21,7 +24,7 @@ import (
 // keep the two enforcement points in sync by hand.
 const guardRounds = 100
 
-func guardAllocsPerSend(t *testing.T, logged bool) float64 {
+func skipAllocGuardUnderRace(t *testing.T) {
 	t.Helper()
 	if raceEnabled {
 		// sync.Pool drops items on purpose under the race detector, so the
@@ -29,7 +32,19 @@ func guardAllocsPerSend(t *testing.T, logged bool) float64 {
 		// job.
 		t.Skip("allocation guards are meaningless under the race detector")
 	}
+}
+
+func guardAllocsPerSend(t *testing.T, logged bool) float64 {
+	t.Helper()
+	skipAllocGuardUnderRace(t)
 	p0, p1, store := newBenchPair(t, logged)
+	return allocsPerRound(t, p0, p1, store)
+}
+
+// allocsPerRound measures steady-state allocations per eager send/recv round
+// from p0 to p1.
+func allocsPerRound(t *testing.T, p0, p1 *mpi.Proc, store *logstore.Store) float64 {
+	t.Helper()
 	payload := make([]byte, 1024)
 	rbuf := make([]byte, 1024)
 	// Warm the channel state, the rings and the buffer pools.
@@ -55,6 +70,31 @@ func TestAllocGuardEagerSendSPBC(t *testing.T) {
 	if got := guardAllocsPerSend(t, true); got > 3.5 {
 		t.Errorf("logged (SPBC) eager send/recv allocates %.2f objects per round, want <= 3.5: "+
 			"the shared-payload log path regressed", got)
+	}
+}
+
+// TestAllocGuardTracedSend pins clock-free recording: a traced eager round
+// appends two events and allocates the same at 64 and at 4096 ranks. Any
+// world-sized state on the traced path (a vector clock ticked per send,
+// carried per message or scanned per record) would show up at 4096 ranks.
+func TestAllocGuardTracedSend(t *testing.T) {
+	skipAllocGuardUnderRace(t)
+	perRound := func(ranks int) float64 {
+		p0, p1 := newTracedPair(t, ranks)
+		return allocsPerRound(t, p0, p1, nil)
+	}
+	small, big := perRound(64), perRound(4096)
+	// Collect the 4096-rank world now, so its GC cycle cannot land inside
+	// the next guard and empty the buffer pools mid-measurement.
+	runtime.GC()
+	t.Logf("traced eager round: %.2f allocs at 64 ranks, %.2f at 4096", small, big)
+	if big > small+0.25 {
+		t.Errorf("traced eager round allocates %.2f objects at 4096 ranks vs %.2f at 64: "+
+			"world-sized state is back on the traced path", big, small)
+	}
+	if small > 3.5 {
+		t.Errorf("traced eager round allocates %.2f objects, want <= 3.5 "+
+			"(the native round plus amortized event-buffer growth)", small)
 	}
 }
 

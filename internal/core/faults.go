@@ -277,6 +277,11 @@ func (e *Engine) handleFaultEvent(p *mpi.Proc, app model.App, ev *faultEvent, it
 			return 0, false, fmt.Errorf("core: rank %d: load checkpoint: %w", rank, lerr)
 		}
 		if !ok {
+			// cancelClusters stops waiting for a first durable wave once a
+			// commit has failed; that failure is why there is nothing to load.
+			if cerr := e.committer.firstErr(); cerr != nil {
+				return 0, false, fmt.Errorf("core: rank %d: no checkpoint to roll back to: %w", rank, cerr)
+			}
 			return 0, false, fmt.Errorf("core: rank %d: no checkpoint to roll back to", rank)
 		}
 		cp = loaded

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/app"
+	"repro/internal/buf"
 	"repro/internal/checkpoint"
 	"repro/internal/mpi"
 	"repro/internal/trace"
@@ -58,6 +60,63 @@ func TestEngineAllowsCorrelatedFaultsAtOneBoundary(t *testing.T) {
 	}
 	if m.RecoveryEvents != 1 {
 		t.Fatalf("recovery events = %d, want 1 (one correlated event)", m.RecoveryEvents)
+	}
+}
+
+// stageErrCapture passes a WaveStorage through and keeps the first error
+// StageImage returns.
+type stageErrCapture struct {
+	checkpoint.WaveStorage
+	mu    sync.Mutex
+	first error
+}
+
+func (s *stageErrCapture) StageImage(rank int, image *buf.Buffer) (func() error, func(), error) {
+	commit, abort, err := s.WaveStorage.StageImage(rank, image)
+	if err != nil {
+		s.mu.Lock()
+		if s.first == nil {
+			s.first = err
+		}
+		s.mu.Unlock()
+	}
+	return commit, abort, err
+}
+
+// TestFirstWaveStageErrorSurfacesAtRecovery: when a cluster's first wave
+// fails to stage and a fault hits the cluster before the next boundary,
+// recovery has nothing to load. The run must fail with the storage error,
+// not with a bare "no checkpoint to roll back to".
+func TestFirstWaveStageErrorSurfacesAtRecovery(t *testing.T) {
+	faulty, err := checkpoint.NewFaultStorage(checkpoint.NewMemoryStorage(),
+		checkpoint.FaultRule{Op: checkpoint.OpStage, Mode: checkpoint.ModeFail, Rank: 0, Count: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	storage := &stageErrCapture{WaveStorage: faulty}
+	w, err := mpi.NewWorld(4, testCost())
+	if err != nil {
+		t.Fatalf("NewWorld: %v", err)
+	}
+	eng, err := NewEngine(w, Config{
+		ClusterOf: []int{0, 0, 1, 1},
+		Interval:  4,
+		Steps:     8,
+		Storage:   storage,
+		Faults:    []Fault{{Rank: 1, Iteration: 2}},
+	})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	runErr := eng.Run(app.NewRing(16, 3))
+	storage.mu.Lock()
+	stageErr := storage.first
+	storage.mu.Unlock()
+	if stageErr == nil {
+		t.Fatal("the stage fault never fired")
+	}
+	if !errors.Is(runErr, stageErr) {
+		t.Fatalf("run error %v does not wrap the stage failure %v", runErr, stageErr)
 	}
 }
 

@@ -91,16 +91,23 @@ func BenchmarkEagerSendSPBC(b *testing.B) {
 	}
 }
 
+// newTracedPair returns ranks 0 and 1 of a traced world of the given size.
+func newTracedPair(tb testing.TB, ranks int) (p0, p1 *mpi.Proc) {
+	tb.Helper()
+	w, err := mpi.NewWorld(ranks, simnet.DefaultCostModel(), mpi.WithRecorder(trace.NewRecorder(ranks)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w.Proc(0), w.Proc(1)
+}
+
 // BenchmarkEagerSendTraced measures the same path with a trace recorder
 // attached; the delta against BenchmarkEagerSendNative is the full cost of
-// tracing (event buffers, vector clocks). Without a recorder that cost is
-// zero — the guard tests in alloc_guard_test.go pin it there.
+// tracing: one clock-free event append per send and per deliver, plus the
+// payload digests. Without a recorder that cost is zero, and with one it does
+// not grow with the world — the guard tests in alloc_guard_test.go pin both.
 func BenchmarkEagerSendTraced(b *testing.B) {
-	w, err := mpi.NewWorld(2, simnet.DefaultCostModel(), mpi.WithRecorder(trace.NewRecorder(2)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	p0, p1 := w.Proc(0), w.Proc(1)
+	p0, p1 := newTracedPair(b, 2)
 	payload := make([]byte, 1024)
 	rbuf := make([]byte, 1024)
 	if err := runEagerSteadyState(p0, p1, nil, payload, rbuf, 64); err != nil {

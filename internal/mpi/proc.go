@@ -24,12 +24,6 @@ type inMessage struct {
 	eager      bool
 	sendReq    *Request // rendezvous: sender's request, completed when the transfer finishes
 	replayed   bool     // injected by a recovery replay daemon
-	// senderVC is the sender's clock at send time (zero when no recorder is
-	// attached), in compact wire form: the non-zero components only, so a
-	// message costs O(ranks heard from) instead of O(world). The backing
-	// arrays survive pooling, so steady-state traced sends encode the clock
-	// without allocating.
-	senderVC trace.CompactClock
 }
 
 // msgPool recycles inMessage headers so the steady-state eager path performs
@@ -40,15 +34,12 @@ var msgPool = sync.Pool{New: func() any { return new(inMessage) }}
 func newMsg() *inMessage { return msgPool.Get().(*inMessage) }
 
 // releaseMsg returns the message's payload reference and recycles the
-// header, keeping the sender-clock storage for the next traced send. The
-// caller must hold the only reference to the header.
+// header. The caller must hold the only reference to the header.
 func releaseMsg(m *inMessage) {
 	if m.payload != nil {
 		m.payload.Release()
 	}
-	vc := m.senderVC
 	*m = inMessage{}
-	m.senderVC = vc.Reset()
 	msgPool.Put(m)
 }
 
@@ -133,16 +124,17 @@ type ProcStatsView struct {
 // methods (Isend/Irecv/Send/Recv/Iprobe/Probe, the collectives, and the
 // Wait/Test family) must be called from the rank's own goroutine (the one
 // started by World.Run): beyond the virtual clock, they share per-rank
-// scratch state (the stamping envelope, the vector clock) that is
+// scratch state (the stamping envelope, the barrier tokens) that is
 // deliberately unsynchronized. Protocol daemons interact with a Proc only
 // through the explicitly concurrent-safe methods (InjectReplay, SetRouted,
-// channel accessors, snapshot/restore helpers).
+// channel accessors, snapshot/restore helpers). A traced Proc records its
+// sends and delivers without any vector clock: the trace package derives
+// clocks from the recorded program orders when they are analysed.
 type Proc struct {
 	world    *World
 	id       int
 	clock    simnet.Clock
 	protocol Protocol
-	vc       trace.VectorClock
 
 	Stats ProcStats
 
@@ -209,9 +201,6 @@ func newProc(w *World, id int) *Proc {
 	}
 	p.ownPark.ch = make(chan struct{}, 1)
 	p.Stats.BytesToDst = make(map[int]uint64)
-	if w.rec != nil {
-		p.vc = trace.NewVectorClock(w.size)
-	}
 	return p
 }
 
@@ -355,9 +344,7 @@ func (p *Proc) isend(buf []byte, dstWorld, tag int, comm *Comm) (*Request, error
 	}
 	p.Stats.mu.Unlock()
 
-	recorded := p.world.rec != nil
-	if recorded {
-		p.vc.Tick(p.id)
+	if p.world.rec != nil {
 		p.world.rec.Record(trace.Event{
 			Kind:    trace.EventSend,
 			Rank:    p.id,
@@ -367,7 +354,6 @@ func (p *Proc) isend(buf []byte, dstWorld, tag int, comm *Comm) (*Request, error
 			Bytes:   len(buf),
 			Time:    now,
 			Digest:  trace.Digest(buf),
-			Clock:   p.vc, // cloned by Record
 		})
 	}
 
@@ -387,9 +373,6 @@ func (p *Proc) isend(buf []byte, dstWorld, tag int, comm *Comm) (*Request, error
 	msg.env = env
 	msg.payload = pb
 	msg.eager = eager
-	if recorded {
-		msg.senderVC = trace.Compact(msg.senderVC, p.vc)
-	}
 	if eager {
 		msg.arriveTime = cost.EagerArrival(now, p.id, dstWorld, len(buf))
 		// Eager send completes locally as soon as the data has left the
@@ -947,8 +930,8 @@ func (p *Proc) Testall(reqs []*Request) (bool, error) {
 
 // finalize applies the effects of a completed request: clock advance,
 // statistics, payload copy, protocol delivery callback and trace event. For a
-// receive it consumes the matched message: the payload reference, the pooled
-// sender clock and the message header are all recycled here.
+// receive it consumes the matched message: the payload reference and the
+// message header are both recycled here.
 func (p *Proc) finalize(req *Request, waitStart float64) (Status, error) {
 	p.mu.Lock()
 	if req.finalized {
@@ -982,10 +965,6 @@ func (p *Proc) finalize(req *Request, waitStart float64) (Status, error) {
 		p.Stats.mu.Unlock()
 		p.protocol.OnDeliver(p, msg.env)
 		if p.world.rec != nil {
-			p.mu.Lock()
-			p.vc = msg.senderVC.MergeInto(p.vc)
-			p.vc.Tick(p.id)
-			p.mu.Unlock()
 			p.world.rec.Record(trace.Event{
 				Kind:    trace.EventDeliver,
 				Rank:    p.id,
@@ -995,7 +974,6 @@ func (p *Proc) finalize(req *Request, waitStart float64) (Status, error) {
 				Bytes:   msg.env.Bytes,
 				Time:    p.clock.Now(),
 				Digest:  trace.Digest(msg.payload.Bytes()),
-				Clock:   p.vc, // cloned by Record
 			})
 		}
 		releaseMsg(msg)

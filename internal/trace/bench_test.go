@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 )
@@ -10,7 +9,7 @@ import (
 // every rank appends to its own buffer behind its own (uncontended) mutex,
 // where the previous design serialized all ranks behind one global lock.
 
-func benchEvent(rank int, seq uint64, clock VectorClock) Event {
+func benchEvent(rank int, seq uint64) Event {
 	return Event{
 		Kind:    EventSend,
 		Rank:    rank,
@@ -18,24 +17,15 @@ func benchEvent(rank int, seq uint64, clock VectorClock) Event {
 		Seq:     seq,
 		Bytes:   64,
 		Digest:  seq,
-		Clock:   clock,
 	}
 }
 
 func BenchmarkRecorderRecord(b *testing.B) {
-	for _, clocked := range []bool{false, true} {
-		b.Run(fmt.Sprintf("clock=%v", clocked), func(b *testing.B) {
-			r := NewRecorder(8)
-			var vc VectorClock
-			if clocked {
-				vc = NewVectorClock(8)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.Record(benchEvent(0, uint64(i+1), vc))
-			}
-		})
+	r := NewRecorder(8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Record(benchEvent(0, uint64(i+1)))
 	}
 }
 
@@ -51,7 +41,7 @@ func BenchmarkRecorderRecordParallel(b *testing.B) {
 		seq := uint64(0)
 		for pb.Next() {
 			seq++
-			rec.Record(benchEvent(r, seq, nil))
+			rec.Record(benchEvent(r, seq))
 		}
 	})
 }
@@ -71,14 +61,3 @@ func (c *counter) next() int {
 }
 
 var rankCounter counter
-
-func BenchmarkCloneInto(b *testing.B) {
-	vc := NewVectorClock(64)
-	var scratch VectorClock
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scratch = CloneInto(scratch[:0], vc)
-	}
-	_ = scratch
-}

@@ -177,28 +177,29 @@ type msgPair struct {
 // ComputeAlwaysHappensBefore intersects deliver-event ordering across the
 // given executions. It considers deliver events only (the events the SPBC
 // mismatch analysis cares about) and returns the relation restricted to
-// messages present in every execution.
-func ComputeAlwaysHappensBefore(execs ...*Recorder) *AlwaysHappensBefore {
+// messages present in every execution. Clocks are derived from each
+// execution's program orders, so every execution must be failure-free; an
+// execution whose clocks cannot be derived is an error naming the message.
+func ComputeAlwaysHappensBefore(execs ...*Recorder) (*AlwaysHappensBefore, error) {
 	ahb := &AlwaysHappensBefore{pairs: make(map[msgPair]bool)}
 	if len(execs) == 0 {
-		return ahb
+		return ahb, nil
 	}
 	// Collect, for each execution, the vector clock of each deliver event.
-	type deliverInfo struct {
-		clock VectorClock
-		ok    bool
-	}
-	perExec := make([]map[MsgID]deliverInfo, len(execs))
+	perExec := make([]map[MsgID]VectorClock, len(execs))
 	common := make(map[MsgID]int)
 	for i, r := range execs {
-		m := make(map[MsgID]deliverInfo)
-		for rank := 0; rank < r.Ranks(); rank++ {
-			for _, e := range r.EventsOf(rank) {
-				if e.Kind != EventDeliver || e.Clock == nil {
-					continue
+		events := r.snapshot()
+		clocks, err := deriveClocks(events)
+		if err != nil {
+			return nil, fmt.Errorf("trace: execution %d: %w", i, err)
+		}
+		m := make(map[MsgID]VectorClock)
+		for rank := range events {
+			for j, e := range events[rank] {
+				if e.Kind == EventDeliver {
+					m[MsgID{Channel: e.Channel, Seq: e.Seq}] = clocks[rank][j]
 				}
-				id := MsgID{Channel: e.Channel, Seq: e.Seq}
-				m[id] = deliverInfo{clock: e.Clock, ok: true}
 			}
 		}
 		perExec[i] = m
@@ -221,8 +222,7 @@ func ComputeAlwaysHappensBefore(execs ...*Recorder) *AlwaysHappensBefore {
 			}
 			always := true
 			for _, m := range perExec {
-				ca, cb := m[a], m[b]
-				if !ca.ok || !cb.ok || !ca.clock.HappensBefore(cb.clock) {
+				if !m[a].HappensBefore(m[b]) {
 					always = false
 					break
 				}
@@ -232,7 +232,7 @@ func ComputeAlwaysHappensBefore(execs ...*Recorder) *AlwaysHappensBefore {
 			}
 		}
 	}
-	return ahb
+	return ahb, nil
 }
 
 // Before reports whether deliver(a) always-happens-before deliver(b)

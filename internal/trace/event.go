@@ -5,6 +5,10 @@
 // via vector clocks, and the intersection of happened-before across several
 // executions, which approximates the always-happens-before relation
 // (Definition 3).
+//
+// Recording carries no clocks. The vector clocks are derived at analysis
+// time by replaying the recorded per-rank program orders, matching each
+// deliver to its send by (channel, seq); this needs a failure-free trace.
 package trace
 
 import "fmt"
@@ -85,7 +89,8 @@ type Event struct {
 	// considered "the same" across executions (Section 3.3).
 	Digest uint64
 	// Clock is the vector clock of the rank immediately after the event,
-	// used to extract happened-before relations.
+	// used to extract happened-before relations. Record ignores it;
+	// EventsOf fills it with the derived clock.
 	Clock VectorClock
 }
 

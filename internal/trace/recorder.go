@@ -17,43 +17,21 @@ import (
 // reconstructed at read time: a channel has exactly one sender rank, so the
 // channel's send order is the sender's program order restricted to that
 // channel (sequence numbers are assigned in that same order).
-// Clocks are stored delta-compressed: an event's storage holds only the
-// components that changed since the rank's previously recorded clock, in a
-// per-rank append-only arena. A rank's clock between consecutive events
-// changes in O(ranks recently heard from) components, not O(world), so
-// recorder bytes per event scale with the communication pattern's non-zero
-// entries and are independent of world size. Deltas use set semantics
-// (they store the new value, not a max-merge): a rollback restore can move
-// a clock backwards, and replaying the deltas in program order must
-// reproduce exactly the clock each event was recorded with.
+//
+// Recording is clock-free: an event costs the same at any world size.
+// Vector clocks are an analysis artefact, derived from the recorded program
+// orders when EventsOf or ComputeAlwaysHappensBefore asks for them.
 type Recorder struct {
 	nranks  int
 	perRank []rankLog
 }
 
-// rankLog is one rank's append-only event buffer. Events are stored with a
-// nil Clock plus a span into the delta arena; accessors that only read
-// event metadata walk the events directly, and EventsOf re-materializes
-// dense clocks by replaying the deltas. The struct is two full 64-byte
-// cache lines, so adjacent ranks' write-hot state never false-shares.
+// rankLog is one rank's append-only event buffer, padded to a 64-byte cache
+// line so adjacent ranks' write-hot state never false-shares.
 type rankLog struct {
 	mu     sync.Mutex
 	events []Event
-	// spans[i] locates events[i]'s clock delta inside the arena.
-	spans []clockSpan
-	// The delta arena: parallel (component rank, new value) pairs.
-	deltaRanks []uint32
-	deltaVals  []uint64
-	// last is the clock of the rank's latest clocked event; the next delta
-	// is computed against it.
-	last VectorClock
-}
-
-// clockSpan locates one event's clock delta in its rankLog arena. A span
-// with hasClock=false marks an event recorded without a clock.
-type clockSpan struct {
-	off, n   uint32
-	hasClock bool
+	_      [32]byte
 }
 
 // NewRecorder creates a recorder for an execution with n ranks.
@@ -67,75 +45,49 @@ func NewRecorder(n int) *Recorder {
 // Ranks returns the number of ranks of the recorded execution.
 func (r *Recorder) Ranks() int { return r.nranks }
 
-// Record appends an event to the event's rank buffer. The event's Clock,
-// if non-nil, is consumed by value — only the components that changed
-// since the rank's previous event are stored — so the caller may keep
-// mutating its working clock (and may hand in a pooled clone and recycle
-// it afterwards).
+// Record appends an event to the event's rank buffer. The event's Clock is
+// ignored (clocks are derived at analysis time), so the caller may keep
+// mutating any clock it passes.
 func (r *Recorder) Record(e Event) {
 	if e.Rank < 0 || e.Rank >= r.nranks {
 		return
 	}
+	e.Clock = nil
 	rl := &r.perRank[e.Rank]
 	rl.mu.Lock()
-	var sp clockSpan
-	if e.Clock != nil {
-		sp.hasClock = true
-		sp.off = uint32(len(rl.deltaRanks))
-		if len(rl.last) < len(e.Clock) {
-			grown := NewVectorClock(len(e.Clock))
-			copy(grown, rl.last)
-			rl.last = grown
-		}
-		for i, v := range e.Clock {
-			if v != rl.last[i] {
-				rl.deltaRanks = append(rl.deltaRanks, uint32(i))
-				rl.deltaVals = append(rl.deltaVals, v)
-				rl.last[i] = v
-			}
-		}
-		sp.n = uint32(len(rl.deltaRanks)) - sp.off
-		e.Clock = nil
-	}
 	rl.events = append(rl.events, e)
-	rl.spans = append(rl.spans, sp)
 	rl.mu.Unlock()
 }
 
-// snapshotRank returns a copy of one rank's events with dense clocks
-// re-materialized by replaying the delta arena in program order.
-func (r *Recorder) snapshotRank(rank int) []Event {
-	rl := &r.perRank[rank]
-	rl.mu.Lock()
-	defer rl.mu.Unlock()
-	out := make([]Event, len(rl.events))
-	copy(out, rl.events)
-	var vc VectorClock
-	if rl.last != nil {
-		vc = NewVectorClock(len(rl.last))
-	}
-	for i := range out {
-		sp := rl.spans[i]
-		if !sp.hasClock {
-			continue
-		}
-		for j := sp.off; j < sp.off+sp.n; j++ {
-			vc[rl.deltaRanks[j]] = rl.deltaVals[j]
-		}
-		out[i].Clock = vc.Clone()
+// snapshot returns a copy of every rank's events, in program order.
+func (r *Recorder) snapshot() [][]Event {
+	out := make([][]Event, r.nranks)
+	for rank := range out {
+		rl := &r.perRank[rank]
+		rl.mu.Lock()
+		out[rank] = append([]Event(nil), rl.events...)
+		rl.mu.Unlock()
 	}
 	return out
 }
 
 // EventsOf returns a copy of the events recorded on the given rank, in
-// program order, with dense clocks re-materialized from the compressed
-// storage (this is the only accessor that pays the O(world) clock cost,
-// and only on the analysis path).
+// program order, each with the vector clock of the rank immediately after
+// the event. The clocks are derived from the whole execution on every call
+// (see deriveClocks); they are nil when the trace is not failure-free.
 func (r *Recorder) EventsOf(rank int) []Event {
 	if rank < 0 || rank >= r.nranks {
 		return nil
 	}
-	return r.snapshotRank(rank)
+	events := r.snapshot()
+	clocks, err := deriveClocks(events)
+	if err != nil {
+		return events[rank]
+	}
+	for i := range events[rank] {
+		events[rank][i].Clock = clocks[rank][i]
+	}
+	return events[rank]
 }
 
 // Channels returns the set of channels on which at least one send was

@@ -84,10 +84,6 @@ func TestVectorClockMismatchedLengths(t *testing.T) {
 	}
 	mustPanic("HappensBefore", "len 2 vs 3", func() { a.HappensBefore(b) })
 	mustPanic("Merge", "len 2 vs 3", func() { a.Merge(b) })
-	mustPanic("CompactClock.MergeInto", "len 3 vs 2", func() {
-		c := Compact(CompactClock{}, VectorClock{1, 0})
-		c.MergeInto(b)
-	})
 	if a.Equal(b) {
 		t.Errorf("clocks of different sizes are never equal")
 	}
@@ -139,33 +135,103 @@ func buildExec(t *testing.T, deliverThirdFirst bool) *Recorder {
 	r := NewRecorder(3)
 	ch01 := ChannelKey{Src: 0, Dst: 1, Comm: 0}
 	ch21 := ChannelKey{Src: 2, Dst: 1, Comm: 0}
-	vc0 := NewVectorClock(3)
-	vc1 := NewVectorClock(3)
-	vc2 := NewVectorClock(3)
 
 	// Sends.
-	vc0.Tick(0)
-	r.Record(Event{Kind: EventSend, Rank: 0, Channel: ch01, Seq: 1, Bytes: 8, Digest: 11, Clock: vc0})
-	vc0.Tick(0)
-	r.Record(Event{Kind: EventSend, Rank: 0, Channel: ch01, Seq: 2, Bytes: 8, Digest: 12, Clock: vc0})
-	vc2.Tick(2)
-	r.Record(Event{Kind: EventSend, Rank: 2, Channel: ch21, Seq: 1, Bytes: 8, Digest: 21, Clock: vc2})
+	r.Record(Event{Kind: EventSend, Rank: 0, Channel: ch01, Seq: 1, Bytes: 8, Digest: 11})
+	r.Record(Event{Kind: EventSend, Rank: 0, Channel: ch01, Seq: 2, Bytes: 8, Digest: 12})
+	r.Record(Event{Kind: EventSend, Rank: 2, Channel: ch21, Seq: 1, Bytes: 8, Digest: 21})
 
-	deliver := func(ch ChannelKey, seq uint64, digest uint64, sender VectorClock) {
-		vc1.Merge(sender)
-		vc1.Tick(1)
-		r.Record(Event{Kind: EventDeliver, Rank: 1, Channel: ch, Seq: seq, Bytes: 8, Digest: digest, Clock: vc1})
+	deliver := func(ch ChannelKey, seq uint64, digest uint64) {
+		r.Record(Event{Kind: EventDeliver, Rank: 1, Channel: ch, Seq: seq, Bytes: 8, Digest: digest})
 	}
 	if deliverThirdFirst {
-		deliver(ch21, 1, 21, vc2)
-		deliver(ch01, 1, 11, vc0)
-		deliver(ch01, 2, 12, vc0)
+		deliver(ch21, 1, 21)
+		deliver(ch01, 1, 11)
+		deliver(ch01, 2, 12)
 	} else {
-		deliver(ch01, 1, 11, vc0)
-		deliver(ch01, 2, 12, vc0)
-		deliver(ch21, 1, 21, vc2)
+		deliver(ch01, 1, 11)
+		deliver(ch01, 2, 12)
+		deliver(ch21, 1, 21)
 	}
 	return r
+}
+
+// TestDerivedClocks pins the offline derivation on buildExec: every event
+// ticks its rank, and a deliver merges the clock its send was recorded with
+// (not the sender's later clock).
+func TestDerivedClocks(t *testing.T) {
+	for _, tc := range []struct {
+		thirdFirst bool
+		want       [][]VectorClock
+	}{
+		{false, [][]VectorClock{
+			{{1, 0, 0}, {2, 0, 0}},
+			{{1, 1, 0}, {2, 2, 0}, {2, 3, 1}},
+			{{0, 0, 1}},
+		}},
+		{true, [][]VectorClock{
+			{{1, 0, 0}, {2, 0, 0}},
+			{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}},
+			{{0, 0, 1}},
+		}},
+	} {
+		r := buildExec(t, tc.thirdFirst)
+		for rank, want := range tc.want {
+			events := r.EventsOf(rank)
+			if len(events) != len(want) {
+				t.Fatalf("thirdFirst=%v rank %d: %d events, want %d", tc.thirdFirst, rank, len(events), len(want))
+			}
+			for i, e := range events {
+				if !e.Clock.Equal(want[i]) {
+					t.Errorf("thirdFirst=%v rank %d event %d (%s %s#%d): clock %v, want %v",
+						tc.thirdFirst, rank, i, e.Kind, e.Channel, e.Seq, e.Clock, want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestClocksNeedFailureFreeTrace: a trace where a (channel, seq) has no
+// single send has no derivable clocks. ComputeAlwaysHappensBefore reports
+// the offending message and EventsOf leaves every clock nil.
+func TestClocksNeedFailureFreeTrace(t *testing.T) {
+	ch01 := ChannelKey{Src: 0, Dst: 1, Comm: 0}
+	ch10 := ChannelKey{Src: 1, Dst: 0, Comm: 0}
+	for _, tc := range []struct {
+		name   string
+		events []Event
+		want   string
+	}{
+		{"re-executed send", reexecutionEvents(), "0->1@0#2 sent twice"},
+		{"deliver without send", []Event{
+			{Kind: EventSend, Rank: 0, Channel: ch01, Seq: 1},
+			{Kind: EventDeliver, Rank: 1, Channel: ch01, Seq: 1},
+			{Kind: EventDeliver, Rank: 1, Channel: ch01, Seq: 2},
+		}, "0->1@0#2 delivered on rank 1 but never sent"},
+		{"deliver before its send", []Event{
+			{Kind: EventDeliver, Rank: 0, Channel: ch10, Seq: 1},
+			{Kind: EventSend, Rank: 0, Channel: ch01, Seq: 1},
+			{Kind: EventDeliver, Rank: 1, Channel: ch01, Seq: 1},
+			{Kind: EventSend, Rank: 1, Channel: ch10, Seq: 1},
+		}, "1->0@0#1 delivered on rank 0 before it was sent"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRecorder(2)
+			for _, e := range tc.events {
+				r.Record(e)
+			}
+			if _, err := ComputeAlwaysHappensBefore(r); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ComputeAlwaysHappensBefore error = %v, want one containing %q", err, tc.want)
+			}
+			for rank := 0; rank < r.Ranks(); rank++ {
+				for _, e := range r.EventsOf(rank) {
+					if e.Clock != nil {
+						t.Fatalf("rank %d %s %s#%d has clock %v, want nil", rank, e.Kind, e.Channel, e.Seq, e.Clock)
+					}
+				}
+			}
+		})
+	}
 }
 
 func TestChannelDeterminismHoldsAcrossDeliveryOrders(t *testing.T) {
@@ -241,7 +307,10 @@ func TestSendDeterminismViolationAcrossChannels(t *testing.T) {
 func TestAlwaysHappensBefore(t *testing.T) {
 	a := buildExec(t, false)
 	b := buildExec(t, true)
-	ahb := ComputeAlwaysHappensBefore(a, b)
+	ahb, err := ComputeAlwaysHappensBefore(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ch01 := ChannelKey{Src: 0, Dst: 1, Comm: 0}
 	ch21 := ChannelKey{Src: 2, Dst: 1, Comm: 0}
 	m1 := MsgID{Channel: ch01, Seq: 1}
@@ -259,8 +328,8 @@ func TestAlwaysHappensBefore(t *testing.T) {
 	if ahb.Len() == 0 {
 		t.Errorf("relation should not be empty")
 	}
-	empty := ComputeAlwaysHappensBefore()
-	if empty.Len() != 0 {
+	empty, err := ComputeAlwaysHappensBefore()
+	if err != nil || empty.Len() != 0 {
 		t.Errorf("relation over zero executions must be empty")
 	}
 }
@@ -295,8 +364,8 @@ func TestChannelSendsPreservesReexecutionOrder(t *testing.T) {
 	// the duplicates exactly where they were recorded.
 	r := NewRecorder(2)
 	ch := ChannelKey{Src: 0, Dst: 1, Comm: 0}
-	for _, seq := range []uint64{1, 2, 3, 2, 3} { // failure after 3, re-exec 2..3
-		r.Record(Event{Kind: EventSend, Rank: 0, Channel: ch, Seq: seq, Digest: seq * 7})
+	for _, e := range reexecutionEvents() {
+		r.Record(e)
 	}
 	sends := r.ChannelSends(ch)
 	if len(sends) != 5 {
@@ -316,45 +385,28 @@ func TestChannelSendsPreservesReexecutionOrder(t *testing.T) {
 	}
 }
 
-func TestRecordReusedClockSafeToScribble(t *testing.T) {
-	// Record clones the clock, so the caller may reuse its working copy
-	// immediately — the recorded event must keep the original value.
-	r := NewRecorder(1)
-	vc := NewVectorClock(4)
-	vc.Tick(0)
-	var scratch VectorClock
-	scratch = CloneInto(scratch, vc)
-	r.Record(Event{Kind: EventSend, Rank: 0, Channel: ChannelKey{Src: 0, Dst: 0}, Seq: 1, Clock: scratch})
-	for i := range scratch {
-		scratch[i] = 99 // scribble, as a reused message clock would
+// reexecutionEvents is a recovering sender's trace: it re-records earlier
+// (channel, seq) positions after its later ones.
+func reexecutionEvents() []Event {
+	ch := ChannelKey{Src: 0, Dst: 1, Comm: 0}
+	var out []Event
+	for _, seq := range []uint64{1, 2, 3, 2, 3} { // failure after 3, re-exec 2..3
+		out = append(out, Event{Kind: EventSend, Rank: 0, Channel: ch, Seq: seq, Digest: seq * 7})
 	}
-	got := r.EventsOf(0)[0].Clock
-	if !got.Equal(vc) {
-		t.Fatalf("recorded clock = %v, want %v (must be an independent clone)", got, vc)
-	}
+	return out
 }
 
-func TestCloneInto(t *testing.T) {
-	src := VectorClock{3, 1, 4}
-	var dst VectorClock
-	dst = CloneInto(dst, src)
-	if !dst.Equal(src) {
-		t.Fatalf("CloneInto = %v, want %v", dst, src)
+func TestRecordReusedClockSafeToScribble(t *testing.T) {
+	// Record ignores the caller's clock, so the caller may scribble it
+	// immediately: the event's clock is derived from the trace alone.
+	r := NewRecorder(1)
+	vc := VectorClock{7, 7, 7, 7}
+	r.Record(Event{Kind: EventSend, Rank: 0, Channel: ChannelKey{Src: 0, Dst: 0}, Seq: 1, Clock: vc})
+	for i := range vc {
+		vc[i] = 99
 	}
-	// Reuse: a large-enough destination must keep its backing array.
-	big := make(VectorClock, 8)
-	p := &big[0]
-	got := CloneInto(big, src)
-	if len(got) != 3 || !got.Equal(src) {
-		t.Fatalf("CloneInto reuse = %v", got)
-	}
-	if &got[0] != p {
-		t.Fatal("CloneInto must reuse sufficient storage")
-	}
-	// Shrunk-then-grown reuse, as pooled message headers do.
-	got = CloneInto(got[:0], VectorClock{9, 9, 9, 9, 9})
-	if len(got) != 5 || got[4] != 9 {
-		t.Fatalf("CloneInto grow = %v", got)
+	if got, want := r.EventsOf(0)[0].Clock, (VectorClock{1}); !got.Equal(want) {
+		t.Fatalf("clock = %v, want the derived %v", got, want)
 	}
 }
 

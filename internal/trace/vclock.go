@@ -20,21 +20,6 @@ func (v VectorClock) Clone() VectorClock {
 	return c
 }
 
-// CloneInto copies src into dst, reusing dst's storage when it is large
-// enough, and returns the clone. The runtime uses it for the sender-side
-// clock copies that ride along with in-flight messages: the destination
-// lives in a pooled message header, so steady state re-uses the same backing
-// array instead of allocating one clock per message.
-func CloneInto(dst, src VectorClock) VectorClock {
-	if cap(dst) >= len(src) {
-		dst = dst[:len(src)]
-	} else {
-		dst = make(VectorClock, len(src))
-	}
-	copy(dst, src)
-	return dst
-}
-
 // Tick increments the component of the given rank and returns the clock.
 func (v VectorClock) Tick(rank int) VectorClock {
 	if rank >= 0 && rank < len(v) {
@@ -95,4 +80,66 @@ func (v VectorClock) Equal(other VectorClock) bool {
 		}
 	}
 	return true
+}
+
+// deriveClocks computes the vector clock of every event of an execution,
+// given each rank's events in program order: clocks[r][i] is rank r's clock
+// immediately after events[r][i]. It replays the ranks' program orders: every
+// event ticks its rank, and a deliver first merges the clock of its send,
+// named by (channel, seq) — so a deliver waits until its send has been
+// replayed. A message must therefore have exactly one send, which holds for
+// failure-free traces only: a re-executed send and a deliver whose send was
+// never recorded are errors.
+func deriveClocks(events [][]Event) ([][]VectorClock, error) {
+	type pos struct{ rank, idx int }
+	sendAt := make(map[MsgID]pos)
+	for r := range events {
+		for i := range events[r] {
+			if e := &events[r][i]; e.Kind == EventSend {
+				id := MsgID{Channel: e.Channel, Seq: e.Seq}
+				if _, dup := sendAt[id]; dup {
+					return nil, fmt.Errorf("trace: message %s sent twice (re-executed): clocks need a failure-free trace", id)
+				}
+				sendAt[id] = pos{r, i}
+			}
+		}
+	}
+	n := len(events)
+	clocks := make([][]VectorClock, n)
+	cur := make([]VectorClock, n)
+	for r := range events {
+		clocks[r] = make([]VectorClock, len(events[r]))
+		cur[r] = NewVectorClock(n)
+	}
+	next := make([]int, n)
+	for progress := true; progress; {
+		progress = false
+		for r := range events {
+			for ; next[r] < len(events[r]); next[r]++ {
+				e := &events[r][next[r]]
+				if e.Kind == EventDeliver {
+					id := MsgID{Channel: e.Channel, Seq: e.Seq}
+					s, ok := sendAt[id]
+					if !ok {
+						return nil, fmt.Errorf("trace: message %s delivered on rank %d but never sent", id, r)
+					}
+					sent := clocks[s.rank][s.idx]
+					if sent == nil {
+						break // the send has not been replayed yet
+					}
+					cur[r].Merge(sent)
+				}
+				cur[r].Tick(r)
+				clocks[r][next[r]] = cur[r].Clone()
+				progress = true
+			}
+		}
+	}
+	for r := range events {
+		if next[r] < len(events[r]) {
+			e := &events[r][next[r]]
+			return nil, fmt.Errorf("trace: message %s delivered on rank %d before it was sent", MsgID{Channel: e.Channel, Seq: e.Seq}, r)
+		}
+	}
+	return clocks, nil
 }
