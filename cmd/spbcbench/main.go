@@ -23,23 +23,6 @@
 // fewer bytes than their static twins, and on stable kernels they must keep
 // the seed partition (zero epoch switches, identical logged volume).
 //
-// -profile perf switches to the allocation/contention profile of the
-// simulator's own hot path: real allocs/op, bytes/op and ns/op of a
-// steady-state eager send/recv round per protocol and payload size, written
-// as BENCH_perf_<name>.json. The profile also measures the checkpoint
-// pipeline (in-barrier capture stall vs the legacy gob path, commit cost,
-// encoded image size) and enforces allocs/op guards plus the capture speedup
-// floor (see -alloc-guard, -capture-guard, -speedup-floor), exiting non-zero
-// on any violation, so CI can hold the zero-copy line:
-//
-//	spbcbench -profile perf -name baseline -out .
-//
-// -profile compare gates a candidate perf profile against a committed
-// baseline (benchstat-style: tight on machine-independent allocs/op, ratio-
-// thresholded on ns/op), exiting non-zero on regressions:
-//
-//	spbcbench -profile compare -baseline BENCH_perf_baseline.json -candidate BENCH_perf_ci.json
-//
 // -profile chaos runs the fault-injection suite: every scenario of the chaos
 // catalog plus -chaos-seeds generated scenarios (seeded -seed, -seed+1, ...)
 // is checked against its failure-free twin — bit-identical replay, rollback
@@ -74,20 +57,12 @@ import (
 
 func main() {
 	var (
-		name       = flag.String("name", "sweep", "sweep name; output file is BENCH_<name>.json (BENCH_perf_<name>.json with -profile perf)")
+		name       = flag.String("name", "sweep", "sweep name; output file is BENCH_<name>.json")
 		out        = flag.String("out", ".", "output directory")
-		profile    = flag.String("profile", "sweep", "what to measure: 'sweep' (virtual-time protocol matrix), 'perf' (real allocs/op and ns/op of the runtime hot path), 'compare' (regression gate of -candidate against -baseline), 'chaos' (fault-injection suite with invariant checking) or 'scale' (world-size growth of host ns/send and peak heap)")
+		profile    = flag.String("profile", "sweep", "what to measure: 'sweep' (virtual-time protocol matrix), 'chaos' (fault-injection suite with invariant checking) or 'scale' (world-size growth of host ns/send and peak heap)")
 		chaosSeeds = flag.Int("chaos-seeds", 16, "number of generated scenarios for -profile chaos (seeds -seed .. -seed+n-1)")
 		chaosNet   = flag.Bool("chaos-net", false, "generate chaos scenarios with the network profile: link delay/jitter, FIFO reorder, cross-channel reorder, partitions, chained crashes and all storage ops")
 		chaosShr   = flag.Bool("chaos-shrink", false, "minimize every failing chaos row with the scenario shrinker and write CHAOS_<name>_shrunk.txt")
-		sizes      = flag.String("sizes", "64,1024,16384", "comma-separated payload sizes for -profile perf")
-		allocGuard = flag.Float64("alloc-guard", 0, "allocs/op ceiling for -profile perf cells: 0 = protocol defaults, negative disables")
-		capGuard   = flag.Float64("capture-guard", 0, "capture allocs/op ceiling for the checkpoint profile: 0 = default, negative disables")
-		spdFloor   = flag.Float64("speedup-floor", 0, "minimum capture speedup vs the legacy gob path: 0 = default (5x), negative disables")
-		baseline   = flag.String("baseline", "BENCH_perf_baseline.json", "baseline perf profile for -profile compare")
-		candidate  = flag.String("candidate", "BENCH_perf_ci.json", "candidate perf profile for -profile compare")
-		allocSlack = flag.Float64("alloc-slack", 0, "allocs/op slack for -profile compare (0 = default 1.0)")
-		nsFactor   = flag.Float64("ns-factor", 0, "ns/op ratio threshold for -profile compare (0 = default 5.0)")
 		scaleRanks = flag.String("scale-ranks", "", "comma-separated rank counts for -profile scale (default: 64,256,1024,4096,16384,65536)")
 		rpc        = flag.Int("ranks-per-cluster", 0, "SPBC block-cluster size for -profile scale (0 = default 16)")
 		nsSendFac  = flag.Float64("ns-send-factor", 0, "ns/send growth gate for -profile scale: largest cell within this factor of the smallest (0 = default 4.0, negative disables)")
@@ -108,26 +83,21 @@ func main() {
 	flag.Parse()
 
 	switch *profile {
-	case "perf", "compare", "chaos", "scale":
+	case "chaos", "scale":
 		if *adaptGate {
 			// Refuse rather than silently skip: the caller would believe the
-			// gate ran when only the perf/compare path executed.
+			// gate ran when only the chaos/scale path executed.
 			fatal(fmt.Errorf("-adaptive-gate only applies to -profile sweep, not %q", *profile))
 		}
-		switch *profile {
-		case "perf":
-			runPerfProfile(*name, *out, *protocols, *sizes, *allocGuard, *capGuard, *spdFloor, *quiet)
-		case "compare":
-			runCompare(*baseline, *candidate, *allocSlack, *nsFactor)
-		case "chaos":
+		if *profile == "chaos" {
 			runChaosProfile(*name, *out, *seed, *chaosSeeds, *chaosNet, *chaosShr, *quiet)
-		case "scale":
+		} else {
 			runScaleProfile(*name, *out, *protocols, *scaleRanks, *rpc, *nsSendFac, *memFactor, *quiet)
 		}
 		return
 	case "sweep":
 	default:
-		fatal(fmt.Errorf("unknown profile %q (have sweep, perf, compare, chaos, scale)", *profile))
+		fatal(fmt.Errorf("unknown profile %q (have sweep, chaos, scale)", *profile))
 	}
 
 	m := bench.Matrix{
@@ -193,50 +163,6 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "spbcbench:", err)
 	os.Exit(2)
-}
-
-// runPerfProfile executes the allocation/contention profile (send hot path
-// plus checkpoint pipeline) and exits non-zero when any guard is violated.
-func runPerfProfile(name, out, protocols, sizes string, allocGuard, captureGuard, speedupFloor float64, quiet bool) {
-	m := bench.PerfMatrix{
-		Name:                name,
-		AllocGuard:          allocGuard,
-		CaptureAllocGuard:   captureGuard,
-		CaptureSpeedupFloor: speedupFloor,
-	}
-	var err error
-	if m.Protocols, err = parseProtocols(protocols); err != nil {
-		fatal(err)
-	}
-	if m.Sizes, err = parseInts("sizes", sizes); err != nil {
-		fatal(err)
-	}
-	res, err := bench.RunPerf(m)
-	if err != nil {
-		fatal(err)
-	}
-	path, err := res.WriteFile(out)
-	if err != nil {
-		fatal(err)
-	}
-	if !quiet {
-		fmt.Println(res.Table())
-		if len(res.Checkpoint) > 0 {
-			fmt.Println(res.CheckpointTable())
-		}
-		if len(res.Volume) > 0 {
-			fmt.Println(res.VolumeTable())
-		}
-	}
-	violations := res.Violations()
-	fmt.Printf("wrote %s (%d cells, %d checkpoint cells, %d volume cells, %d guard violations)\n",
-		path, len(res.Cells), len(res.Checkpoint), len(res.Volume), len(violations))
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintln(os.Stderr, "guard violation:", v)
-		}
-		os.Exit(1)
-	}
 }
 
 // runScaleProfile executes the world-size growth profile and exits non-zero
@@ -339,25 +265,6 @@ func reportViolations(label string, violations []string) {
 	for _, v := range violations {
 		fmt.Fprintf(os.Stderr, "scenario %s: %s\n", label, v)
 	}
-}
-
-// runCompare gates a candidate perf profile against a baseline and exits
-// non-zero on regressions.
-func runCompare(baseline, candidate string, allocSlack, nsFactor float64) {
-	findings, err := bench.ComparePerfFiles(baseline, candidate,
-		bench.CompareOpts{AllocSlack: allocSlack, NsFactor: nsFactor})
-	if err != nil {
-		fatal(err)
-	}
-	if len(findings) == 0 {
-		fmt.Printf("compare: %s holds the line against %s\n", candidate, baseline)
-		return
-	}
-	for _, f := range findings {
-		fmt.Fprintln(os.Stderr, "regression:", f)
-	}
-	fmt.Fprintf(os.Stderr, "compare: %d regressions of %s against %s\n", len(findings), candidate, baseline)
-	os.Exit(1)
 }
 
 // parseProtocols parses a comma-separated protocol list; empty means all.

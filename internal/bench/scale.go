@@ -10,8 +10,8 @@ package bench
 // per-rank footprint that is itself O(world), like a dense world-sized
 // clone per message, shows up here as a superlinear curve). Both figures
 // are gated against the smallest cell of the sweep, so
-// BENCH_scale_<name>.json is a regression fence in the same way
-// BENCH_perf_<name>.json fences the per-operation hot path.
+// BENCH_scale_<name>.json is a regression fence on growth with the world
+// size; it does not claim absolute speed, which benchmark/ measures.
 //
 // Cells drive the engine directly rather than through the runner: the
 // runner's SPBC path adds a profiling pre-run, which belongs to the

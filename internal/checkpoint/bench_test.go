@@ -8,8 +8,7 @@ import (
 
 // Checkpoint encode/decode runs once per rank per wave in the background
 // committer (binary codec) and once per restart read (Load decodes the shared
-// image). The *Gob variants measure the old wire format the binary codec
-// replaced, so benchstat can quantify the win. Names are benchstat-friendly.
+// image). Names are benchstat-friendly.
 
 func benchCheckpoint(stateBytes, logRecords int) *Checkpoint {
 	cp := &Checkpoint{
@@ -103,53 +102,5 @@ func BenchmarkCheckpointEncodeBuffer(b *testing.B) {
 			b.Fatalf("encode: %v", err)
 		}
 		image.Release()
-	}
-}
-
-func BenchmarkCheckpointEncodeGob(b *testing.B) {
-	for _, tc := range []struct {
-		name              string
-		state, logRecords int
-	}{
-		{"state=1KiB/logs=0", 1 << 10, 0},
-		{"state=64KiB/logs=64", 64 << 10, 64},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			cp := benchCheckpoint(tc.state, tc.logRecords)
-			b.SetBytes(int64(cp.Size()))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := EncodeGob(cp); err != nil {
-					b.Fatalf("encode: %v", err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkCheckpointDecodeGob(b *testing.B) {
-	for _, tc := range []struct {
-		name              string
-		state, logRecords int
-	}{
-		{"state=1KiB/logs=0", 1 << 10, 0},
-		{"state=64KiB/logs=64", 64 << 10, 64},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			cp := benchCheckpoint(tc.state, tc.logRecords)
-			raw, err := EncodeGob(cp)
-			if err != nil {
-				b.Fatalf("encode: %v", err)
-			}
-			b.SetBytes(int64(cp.Size()))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := DecodeGob(raw); err != nil {
-					b.Fatalf("decode: %v", err)
-				}
-			}
-		})
 	}
 }

@@ -8,15 +8,12 @@ package checkpoint
 // into a pooled buffer sized by an exact upper bound, so a steady state of
 // checkpoint waves recycles its encode storage instead of growing the heap.
 //
-// The gob path is kept (EncodeGob/DecodeGob) as the reference implementation:
-// the property and fuzz tests check the binary codec round-trips exactly the
-// checkpoints gob round-trips, and the perf profile uses it as the baseline
-// the capture/commit split is measured against.
+// The property test holds the codec to encoding/gob: a binary round trip must
+// produce exactly the checkpoint a gob round trip produces.
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"sort"
@@ -385,23 +382,4 @@ func Decode(raw []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("checkpoint: decode: %d trailing bytes", len(d.in))
 	}
 	return cp, nil
-}
-
-// EncodeGob serializes a checkpoint with encoding/gob: the reference path the
-// binary codec is property-tested and benchmarked against.
-func EncodeGob(cp *Checkpoint) ([]byte, error) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(cp); err != nil {
-		return nil, fmt.Errorf("checkpoint: gob encode: %w", err)
-	}
-	return b.Bytes(), nil
-}
-
-// DecodeGob deserializes a checkpoint produced by EncodeGob.
-func DecodeGob(raw []byte) (*Checkpoint, error) {
-	var cp Checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("checkpoint: gob decode: %w", err)
-	}
-	return &cp, nil
 }

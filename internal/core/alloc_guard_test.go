@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -18,10 +19,7 @@ import (
 // (6 allocs/op native, 7 logged), so a reintroduced per-send copy or a
 // de-pooled header trips them.
 
-// Thresholds and GC cadence mirror the perf profile's defaults in
-// internal/bench/perf.go (defaultGuardUnlogged/defaultGuardLogged,
-// perfGCPeriod) — this package cannot import bench (bench imports core), so
-// keep the two enforcement points in sync by hand.
+// guardRounds is the batch of rounds one AllocsPerRun call measures.
 const guardRounds = 100
 
 func skipAllocGuardUnderRace(t *testing.T) {
@@ -34,19 +32,12 @@ func skipAllocGuardUnderRace(t *testing.T) {
 	}
 }
 
-func guardAllocsPerSend(t *testing.T, logged bool) float64 {
-	t.Helper()
-	skipAllocGuardUnderRace(t)
-	p0, p1, store := newBenchPair(t, logged)
-	return allocsPerRound(t, p0, p1, store)
-}
-
 // allocsPerRound measures steady-state allocations per eager send/recv round
-// from p0 to p1.
-func allocsPerRound(t *testing.T, p0, p1 *mpi.Proc, store *logstore.Store) float64 {
+// of a size-byte payload from p0 to p1.
+func allocsPerRound(t *testing.T, p0, p1 *mpi.Proc, store *logstore.Store, size int) float64 {
 	t.Helper()
-	payload := make([]byte, 1024)
-	rbuf := make([]byte, 1024)
+	payload := make([]byte, size)
+	rbuf := make([]byte, size)
 	// Warm the channel state, the rings and the buffer pools.
 	if err := runEagerSteadyState(p0, p1, store, payload, rbuf, 2*benchGCPeriod); err != nil {
 		t.Fatal(err)
@@ -59,17 +50,35 @@ func allocsPerRound(t *testing.T, p0, p1 *mpi.Proc, store *logstore.Store) float
 	return perRun / guardRounds
 }
 
-func TestAllocGuardEagerSendNative(t *testing.T) {
-	if got := guardAllocsPerSend(t, false); got > 3.0 {
-		t.Errorf("native eager send/recv allocates %.2f objects per round, want <= 3.0 "+
-			"(2 request headers plus pool-miss slack): the zero-copy path regressed", got)
-	}
-}
-
-func TestAllocGuardEagerSendSPBC(t *testing.T) {
-	if got := guardAllocsPerSend(t, true); got > 3.5 {
-		t.Errorf("logged (SPBC) eager send/recv allocates %.2f objects per round, want <= 3.5: "+
-			"the shared-payload log path regressed", got)
+// TestAllocGuardEagerSend pins the steady-state round of every runtime-
+// distinct send path at each payload size. Every cell measures 2 (the two
+// request headers); the ceilings, 3.0 unlogged and 3.5 logged, leave slack
+// for a GC draining the pools mid-run. Adaptive SPBC shares static SPBC's
+// send path, so it has no row of its own.
+func TestAllocGuardEagerSend(t *testing.T) {
+	skipAllocGuardUnderRace(t)
+	for _, proto := range []struct {
+		name string
+		pol  Policy
+	}{
+		{"native", nil},
+		{"coordinated", NewCoordinatedProtocol(2)},
+		{"full-log", NewFullLogProtocol(2)},
+		{"spbc", NewSPBCProtocol([]int{0, 1})},
+	} {
+		ceiling := 3.0
+		if proto.pol != nil && proto.pol.Logs(0, 0, 1) {
+			ceiling = 3.5
+		}
+		for _, size := range []int{64, 1024, 16384} {
+			t.Run(fmt.Sprintf("%s/size=%d", proto.name, size), func(t *testing.T) {
+				p0, p1, store := newBenchPair(t, proto.pol)
+				if got := allocsPerRound(t, p0, p1, store, size); got > ceiling {
+					t.Errorf("eager send/recv allocates %.2f objects per round, want <= %.1f: "+
+						"a per-send copy or a de-pooled header is back", got, ceiling)
+				}
+			})
+		}
 	}
 }
 
@@ -81,7 +90,7 @@ func TestAllocGuardTracedSend(t *testing.T) {
 	skipAllocGuardUnderRace(t)
 	perRound := func(ranks int) float64 {
 		p0, p1 := newTracedPair(t, ranks)
-		return allocsPerRound(t, p0, p1, nil)
+		return allocsPerRound(t, p0, p1, nil, 1024)
 	}
 	small, big := perRound(64), perRound(4096)
 	// Collect the 4096-rank world now, so its GC cycle cannot land inside
@@ -134,7 +143,7 @@ func TestBufferPoolRecyclesOnEagerPath(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items on purpose")
 	}
-	p0, p1, store := newBenchPair(t, true)
+	p0, p1, store := newBenchPair(t, NewSPBCProtocol([]int{0, 1}))
 	payload := make([]byte, 1024)
 	rbuf := make([]byte, 1024)
 	if err := runEagerSteadyState(p0, p1, store, payload, rbuf, 2*benchGCPeriod); err != nil {

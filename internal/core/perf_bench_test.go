@@ -22,15 +22,17 @@ import (
 // destination "checkpoints" and the sender's log is truncated.
 const benchGCPeriod = 256
 
-func newBenchPair(tb testing.TB, logged bool) (p0, p1 *mpi.Proc, store *logstore.Store) {
+// newBenchPair returns ranks 0 and 1 of a two-rank world running pol, or the
+// native runtime when pol is nil; store is rank 0's sender log (nil when
+// native).
+func newBenchPair(tb testing.TB, pol Policy) (p0, p1 *mpi.Proc, store *logstore.Store) {
 	tb.Helper()
 	w, err := mpi.NewWorld(2, simnet.DefaultCostModel())
 	if err != nil {
 		tb.Fatal(err)
 	}
 	p0, p1 = w.Proc(0), w.Proc(1)
-	if logged {
-		pol := NewSPBCProtocol([]int{0, 1})
+	if pol != nil {
 		store = logstore.New()
 		p0.SetProtocol(NewSPBC(0, pol, w.Cost(), store))
 		p1.SetProtocol(NewSPBC(1, pol, w.Cost(), logstore.New()))
@@ -60,8 +62,8 @@ func runEagerSteadyState(p0, p1 *mpi.Proc, store *logstore.Store, payload, rbuf 
 	return nil
 }
 
-func benchEagerSend(b *testing.B, logged bool, size int) {
-	p0, p1, store := newBenchPair(b, logged)
+func benchEagerSend(b *testing.B, pol Policy, size int) {
+	p0, p1, store := newBenchPair(b, pol)
 	payload := make([]byte, size)
 	for i := range payload {
 		payload[i] = byte(i)
@@ -81,13 +83,13 @@ func benchEagerSend(b *testing.B, logged bool, size int) {
 
 func BenchmarkEagerSendNative(b *testing.B) {
 	for _, size := range []int{64, 1024, 16384} {
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) { benchEagerSend(b, false, size) })
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) { benchEagerSend(b, nil, size) })
 	}
 }
 
 func BenchmarkEagerSendSPBC(b *testing.B) {
 	for _, size := range []int{64, 1024, 16384} {
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) { benchEagerSend(b, true, size) })
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) { benchEagerSend(b, NewSPBCProtocol([]int{0, 1}), size) })
 	}
 }
 

@@ -195,7 +195,7 @@ func TestEngineFaultWaitsForFirstDurableWave(t *testing.T) {
 // concurrent remote-log GC (Truncate) untouched, because the capture holds
 // its own references.
 func TestCheckpointCapturePreservesLogsAcrossGC(t *testing.T) {
-	p0, p1, store := newBenchPair(t, true)
+	p0, p1, store := newBenchPair(t, NewSPBCProtocol([]int{0, 1}))
 	payload := make([]byte, 256)
 	for i := range payload {
 		payload[i] = byte(i)
@@ -225,52 +225,58 @@ func TestCheckpointCapturePreservesLogsAcrossGC(t *testing.T) {
 }
 
 // TestAllocGuardCheckpointCapture is the allocation-regression guard on the
-// in-barrier capture path: snapshotting channels and a 64-record sender log
-// must cost O(metadata) allocations — no payload copies, no encoding — and
-// far below one allocation per logged byte. The committer pays the encode
-// off the critical path.
+// in-barrier capture path: snapshotting channels and the sender log must cost
+// O(metadata) allocations whatever the state size and log population — no
+// payload copies, no encoding — and far below one allocation per logged
+// record. The committer pays the encode off the critical path.
 func TestAllocGuardCheckpointCapture(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation guards are meaningless under the race detector")
 	}
-	p0, p1, store := newBenchPair(t, true)
-	payload := make([]byte, 1024)
-	rbuf := make([]byte, 1024)
-	const records = 64
-	for i := 0; i < records; i++ {
-		if err := p0.Send(payload, 1, 0, nil); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p1.Recv(rbuf, 0, 0, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	proto := NewSPBC(0, NewSPBCProtocol([]int{0, 1}), simnet.DefaultCostModel(), store)
-	capture := func() {
-		snap, snapRefs, err := p0.SnapshotChannelsShared()
-		if err != nil {
-			t.Fatal(err)
-		}
-		state, err := proto.EncodeState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		logs, logRefs := store.SnapshotShared()
-		cp := &checkpoint.Checkpoint{
-			Rank: 0, Channels: snap, Logs: ToCheckpointRecords(logs), Protocol: state,
-		}
-		cp.HoldShared(snapRefs)
-		cp.HoldShared(logRefs)
-		cp.ReleaseShared()
-	}
-	capture() // warm map/slice sizing paths
-	perOp := testing.AllocsPerRun(50, capture)
-	// ~15 measured: snapshot maps and slices, the records slice, the refs
-	// slices. The guard leaves 2x slack; a payload copy per record (64) or a
-	// gob encode (hundreds) trips it immediately.
-	if perOp > 30 {
-		t.Errorf("checkpoint capture allocates %.1f objects per wave, want <= 30: "+
-			"the zero-copy capture path regressed", perOp)
+	for _, shape := range []struct{ state, records int }{
+		{1 << 10, 0}, {16 << 10, 16}, {64 << 10, 64},
+	} {
+		t.Run(fmt.Sprintf("state=%d/logs=%d", shape.state, shape.records), func(t *testing.T) {
+			p0, p1, store := newBenchPair(t, NewSPBCProtocol([]int{0, 1}))
+			payload := make([]byte, 1024)
+			rbuf := make([]byte, 1024)
+			for i := 0; i < shape.records; i++ {
+				if err := p0.Send(payload, 1, 0, nil); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := p1.Recv(rbuf, 0, 0, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			appState := make([]byte, shape.state)
+			proto := NewSPBC(0, NewSPBCProtocol([]int{0, 1}), simnet.DefaultCostModel(), store)
+			capture := func() {
+				snap, snapRefs, err := p0.SnapshotChannelsShared()
+				if err != nil {
+					t.Fatal(err)
+				}
+				state, err := proto.EncodeState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				logs, logRefs := store.SnapshotShared()
+				cp := &checkpoint.Checkpoint{
+					Rank: 0, AppState: appState, Channels: snap, Logs: ToCheckpointRecords(logs), Protocol: state,
+				}
+				cp.HoldShared(snapRefs)
+				cp.HoldShared(logRefs)
+				cp.ReleaseShared()
+			}
+			capture() // warm map/slice sizing paths
+			perOp := testing.AllocsPerRun(50, capture)
+			// 9–15 measured: snapshot maps and slices, the records slice, the
+			// refs slices. The guard leaves 2x slack; a payload copy per record
+			// (64) or a gob encode (hundreds) trips it immediately.
+			if perOp > 30 {
+				t.Errorf("checkpoint capture allocates %.1f objects per wave, want <= 30: "+
+					"the zero-copy capture path regressed", perOp)
+			}
+		})
 	}
 }
 

@@ -48,28 +48,16 @@ type ChannelSnapshot struct {
 	Clock float64
 }
 
-// SnapshotChannels captures the channel state of the process. The process
-// must not have pending (unfinalized) requests: checkpoints are taken at
-// quiescent points (iteration boundaries), which the SPBC runtime enforces.
-// The snapshot owns plain copies of the queued payloads (its lifetime is
-// independent of the buffer pool).
-func (p *Proc) SnapshotChannels() (*ChannelSnapshot, error) {
-	snap, _, err := p.snapshotChannels(false)
-	return snap, err
-}
-
-// SnapshotChannelsShared captures the channel state without copying any
-// payload: the snapshot's Queued payload slices alias the runtime's pooled
-// buffers, and the returned references keep that storage alive. This is the
-// in-barrier capture path of a checkpoint wave — O(metadata) regardless of
-// the queued volume. The caller owns one reference per returned buffer and
-// must Release them all (typically via Checkpoint.ReleaseShared) once the
-// snapshot has been encoded or discarded.
+// SnapshotChannelsShared captures the channel state of the process without
+// copying any payload. The process must not have pending (unfinalized)
+// requests: checkpoints are taken at quiescent points (iteration boundaries),
+// which the SPBC runtime enforces. The snapshot's Queued payload slices alias
+// the runtime's pooled buffers, and the returned references keep that storage
+// alive. This is the in-barrier capture path of a checkpoint wave —
+// O(metadata) regardless of the queued volume. The caller owns one reference
+// per returned buffer and must Release them all (typically via
+// Checkpoint.ReleaseShared) once the snapshot has been encoded or discarded.
 func (p *Proc) SnapshotChannelsShared() (*ChannelSnapshot, []*bufpkg.Buffer, error) {
-	return p.snapshotChannels(true)
-}
-
-func (p *Proc) snapshotChannels(shared bool) (*ChannelSnapshot, []*bufpkg.Buffer, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.pending > 0 {
@@ -94,19 +82,14 @@ func (p *Proc) snapshotChannels(shared bool) (*ChannelSnapshot, []*bufpkg.Buffer
 	}
 	sort.Slice(queued, func(i, j int) bool { return queued[i].arrival < queued[j].arrival })
 	var refs []*bufpkg.Buffer
-	if shared && len(queued) > 0 {
+	if len(queued) > 0 {
 		refs = make([]*bufpkg.Buffer, 0, len(queued))
 	}
 	for _, msg := range queued {
-		payload := msg.payload.Bytes()
-		if shared {
-			refs = append(refs, msg.payload.Retain())
-		} else {
-			payload = append([]byte(nil), payload...)
-		}
+		refs = append(refs, msg.payload.Retain())
 		snap.Queued = append(snap.Queued, QueuedMessage{
 			Env:        msg.env,
-			Payload:    payload,
+			Payload:    msg.payload.Bytes(),
 			ArriveTime: msg.arriveTime,
 			Replayed:   msg.replayed,
 		})
@@ -124,11 +107,12 @@ func (p *Proc) snapshotChannels(shared bool) (*ChannelSnapshot, []*bufpkg.Buffer
 	return snap, refs, nil
 }
 
-// RestoreChannels restores the channel state captured by SnapshotChannels.
-// keepQueued selects which captured queued messages to restore (SPBC restores
-// all of them; a caller may filter). The posted-receive queue and the
-// unexpected queue are reset; the outgoing sequence counters, incoming
-// bookkeeping, collective counters and virtual clock are restored.
+// RestoreChannels restores the channel state captured by
+// SnapshotChannelsShared. keepQueued selects which captured queued messages
+// to restore (SPBC restores all of them; a caller may filter). The
+// posted-receive queue and the unexpected queue are reset; the outgoing
+// sequence counters, incoming bookkeeping, collective counters and virtual
+// clock are restored.
 //
 // Channels that exist now but did not exist at snapshot time are reset to
 // zero so that re-execution reassigns the same sequence numbers.

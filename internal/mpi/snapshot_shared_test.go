@@ -6,10 +6,11 @@ import (
 )
 
 // TestSnapshotChannelsShared pins the zero-copy capture contract of the
-// channel snapshot: identical content to the copying SnapshotChannels,
-// queued payloads aliasing the runtime's pooled buffers, one retained
-// reference per queued message, and content that survives delivery of the
-// underlying message until the references are released.
+// channel snapshot: the queued messages in arrival order with their
+// envelopes and channel bookkeeping, payloads aliasing the runtime's pooled
+// buffers, one retained reference per queued message, and content that
+// survives delivery of the underlying message until the references are
+// released.
 func TestSnapshotChannelsShared(t *testing.T) {
 	w := testWorld(t, 2)
 	p0, p1 := w.Proc(0), w.Proc(1)
@@ -22,16 +23,24 @@ func TestSnapshotChannelsShared(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plain, err := p1.SnapshotChannels()
-	if err != nil {
-		t.Fatal(err)
-	}
 	shared, refs, err := p1.SnapshotChannelsShared()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plain, shared) {
-		t.Fatalf("shared snapshot content differs from the copying one:\n%+v\n%+v", plain, shared)
+	if len(shared.Queued) != 2 {
+		t.Fatalf("snapshot queues %d messages, want 2", len(shared.Queued))
+	}
+	for i, want := range []string{"hello", "world!"} {
+		q := shared.Queued[i]
+		if env := q.Env; env.Source != 0 || env.Dest != 1 || env.Tag != 7 || env.Seq != uint64(i+1) || env.Bytes != len(want) {
+			t.Fatalf("queued message %d envelope = %+v", i, env)
+		}
+		if string(q.Payload) != want || q.Replayed {
+			t.Fatalf("queued message %d = %q (replayed %v), want %q", i, q.Payload, q.Replayed, want)
+		}
+	}
+	if want := map[ChanKey]InChannelState{{Peer: 0}: {MaxSeqSeen: 2}}; !reflect.DeepEqual(shared.In, want) {
+		t.Fatalf("snapshot In = %+v, want %+v", shared.In, want)
 	}
 	if len(refs) != 2 {
 		t.Fatalf("snapshot holds %d refs, want 2 (one per queued message)", len(refs))
