@@ -50,37 +50,40 @@ func allocsPerRound(t *testing.T, p0, p1 *mpi.Proc, store *logstore.Store, size 
 	return perRun / guardRounds
 }
 
-// TestAllocGuardEagerSend pins the steady-state round of every runtime-
-// distinct send path at each payload size. Every cell measures 2 (the two
-// request headers); the ceilings, 3.0 unlogged and 3.5 logged, leave slack
-// for a GC draining the pools mid-run. Adaptive SPBC shares static SPBC's
-// send path, so it has no row of its own.
-func TestAllocGuardEagerSend(t *testing.T) {
+// guardEagerSend pins the steady-state round of one send path (pol; nil is
+// native) at each payload size. Every cell measures 2 (the two request
+// headers); the ceilings, 3.0 unlogged and 3.5 logged, leave slack for a GC
+// draining the pools mid-run.
+func guardEagerSend(t *testing.T, pol Policy) {
+	t.Helper()
 	skipAllocGuardUnderRace(t)
-	for _, proto := range []struct {
-		name string
-		pol  Policy
-	}{
-		{"native", nil},
-		{"coordinated", NewCoordinatedProtocol(2)},
-		{"full-log", NewFullLogProtocol(2)},
-		{"spbc", NewSPBCProtocol([]int{0, 1})},
-	} {
-		ceiling := 3.0
-		if proto.pol != nil && proto.pol.Logs(0, 0, 1) {
-			ceiling = 3.5
-		}
-		for _, size := range []int{64, 1024, 16384} {
-			t.Run(fmt.Sprintf("%s/size=%d", proto.name, size), func(t *testing.T) {
-				p0, p1, store := newBenchPair(t, proto.pol)
-				if got := allocsPerRound(t, p0, p1, store, size); got > ceiling {
-					t.Errorf("eager send/recv allocates %.2f objects per round, want <= %.1f: "+
-						"a per-send copy or a de-pooled header is back", got, ceiling)
-				}
-			})
-		}
+	ceiling := 3.0
+	if pol != nil && pol.Logs(0, 0, 1) {
+		ceiling = 3.5
+	}
+	for _, size := range []int{64, 1024, 16384} {
+		t.Run(fmt.Sprintf("size=%d", size), func(t *testing.T) {
+			p0, p1, store := newBenchPair(t, pol)
+			if got := allocsPerRound(t, p0, p1, store, size); got > ceiling {
+				t.Errorf("eager send/recv allocates %.2f objects per round, want <= %.1f: "+
+					"a per-send copy or a de-pooled header is back", got, ceiling)
+			}
+		})
 	}
 }
+
+// One guard per runtime-distinct send path. Adaptive SPBC shares static
+// SPBC's send path, so it has no guard of its own.
+
+func TestAllocGuardEagerSendNative(t *testing.T) { guardEagerSend(t, nil) }
+
+func TestAllocGuardEagerSendCoordinated(t *testing.T) {
+	guardEagerSend(t, NewCoordinatedProtocol(2))
+}
+
+func TestAllocGuardEagerSendFullLog(t *testing.T) { guardEagerSend(t, NewFullLogProtocol(2)) }
+
+func TestAllocGuardEagerSendSPBC(t *testing.T) { guardEagerSend(t, NewSPBCProtocol([]int{0, 1})) }
 
 // TestAllocGuardTracedSend pins clock-free recording: a traced eager round
 // appends two events and allocates the same at 64 and at 4096 ranks. Any
