@@ -122,8 +122,6 @@ type StorageSpec struct {
 	HotWaves int
 	// Replica adds an in-memory buddy location receiving every demotion.
 	Replica bool
-	// DisableDelta stages plain full images through the tier.
-	DisableDelta bool
 	// ColdFaults sabotages the *primary* cold location only (OpStage targets
 	// Put, OpLoad targets Get), so recovery must degrade to the replica.
 	ColdFaults []checkpoint.FaultRule
@@ -144,9 +142,8 @@ func (sp *StorageSpec) build() (*checkpoint.TieredStorage, error) {
 		primary = fc
 	}
 	cfg := checkpoint.TieredConfig{
-		HotWaves:     sp.HotWaves,
-		Cold:         primary,
-		DisableDelta: sp.DisableDelta,
+		HotWaves: sp.HotWaves,
+		Cold:     primary,
 		// Chaos runs are replayed and diffed against a twin; inline demotion
 		// keeps the cold tier's state (and replica-fallback counts) a
 		// deterministic function of the scenario instead of goroutine timing.

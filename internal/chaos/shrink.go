@@ -392,9 +392,6 @@ func FormatScenario(sc Scenario) string {
 		if sp.Replica {
 			b.WriteString("\t\tReplica: true,\n")
 		}
-		if sp.DisableDelta {
-			b.WriteString("\t\tDisableDelta: true,\n")
-		}
 		if len(sp.ColdFaults) > 0 {
 			b.WriteString("\t\tColdFaults: []checkpoint.FaultRule{\n")
 			for _, r := range sp.ColdFaults {

@@ -86,12 +86,6 @@ type TieredConfig struct {
 	// Delta is the policy advertised to the committer. Zero value means
 	// DefaultDeltaPolicy.
 	Delta DeltaPolicy
-	// DisableDelta hides the delta capability: the committer stages plain
-	// full images (the tier still rings/demotes/replicates them).
-	DisableDelta bool
-	// CompressCold flate-packs raw full images during demotion, so cold
-	// anchors are stored as compressed frames.
-	CompressCold bool
 	// SyncDemotion runs demotion and cold GC inline on the commit path
 	// instead of background goroutines. Deterministic harnesses (the chaos
 	// checker) use it so recovery reads the cold tier instead of racing the
@@ -161,11 +155,8 @@ func NewTieredStorage(cfg TieredConfig) *TieredStorage {
 	}
 }
 
-// DeltaPolicy advertises the delta capability to the committer. ok=false
-// (delta disabled) makes the committer stage plain full images.
-func (t *TieredStorage) DeltaPolicy() (DeltaPolicy, bool) {
-	return t.cfg.Delta, !t.cfg.DisableDelta
-}
+// DeltaPolicy advertises the delta capability to the committer.
+func (t *TieredStorage) DeltaPolicy() DeltaPolicy { return t.cfg.Delta }
 
 // Quiesce blocks until every queued demotion and cold GC has finished. Tests
 // and benchmarks call it before inspecting the cold tier or tearing down the
@@ -329,27 +320,15 @@ func (t *TieredStorage) commitStaged(rank, wave int, entry *hotEntry, selfDesc b
 	}
 }
 
-// demote writes one frame to the cold tier (and replica), optionally
-// compressing raw full images in the background, then drops it from the
-// pending set. It owns the passed reference.
+// demote writes one frame to the cold tier (and replica), then drops it from
+// the pending set. It owns the passed reference.
 func (t *TieredStorage) demote(rank, wave int, rep *buf.Buffer) {
 	defer t.wg.Done()
 	frame := rep.Bytes()
-	out := frame
-	if t.cfg.CompressCold {
-		if k, err := Frame(frame); err == nil && k == KindFull {
-			if z, err := EncodeCompressedFrameBuffer(frame); err == nil {
-				defer z.Release()
-				if z.Len() < len(frame) {
-					out = z.Bytes()
-				}
-			}
-		}
-	}
-	errP := t.cfg.Cold.Put(rank, wave, out)
+	errP := t.cfg.Cold.Put(rank, wave, frame)
 	var errR error
 	if t.cfg.Replica != nil {
-		errR = t.cfg.Replica.Put(rank, wave, out)
+		errR = t.cfg.Replica.Put(rank, wave, frame)
 	} else {
 		errR = errP
 	}

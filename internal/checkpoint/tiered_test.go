@@ -406,22 +406,6 @@ func TestTieredAnchorGCWithDeltaChain(t *testing.T) {
 	loadEqual(t, ts, 0, fulls[4])
 }
 
-func TestTieredCompressCold(t *testing.T) {
-	cold := NewMemColdStore()
-	ts := NewTieredStorage(TieredConfig{HotWaves: -1, Cold: cold, CompressCold: true})
-	img := tierImage(t, 0, 2)
-	stageFrame(t, ts, 0, img)
-	ts.Quiesce()
-	frame, err := cold.Get(0, 2)
-	if err != nil {
-		t.Fatalf("cold get: %v", err)
-	}
-	if k, err := Frame(frame); err != nil || k != KindCompressed {
-		t.Fatalf("cold frame kind %v err %v, want compressed", k, err)
-	}
-	loadEqual(t, ts, 0, img)
-}
-
 func TestTieredSave(t *testing.T) {
 	ts := NewTieredStorage(TieredConfig{})
 	cp := driftCheckpoint(64, 3)

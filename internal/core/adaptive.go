@@ -65,17 +65,6 @@ func (a *AdaptiveConfig) validate() error {
 	return nil
 }
 
-// clusters returns the cluster count of the seed partition.
-func (a *AdaptiveConfig) clusters() int {
-	k := 0
-	for _, c := range a.Seed {
-		if c+1 > k {
-			k = c + 1
-		}
-	}
-	return k
-}
-
 // EpochInfo is the per-epoch report of an adaptive run: when the epoch
 // opened, its partition, and the traffic logged while it was active.
 type EpochInfo struct {
@@ -125,7 +114,6 @@ func (lp *liveProfile) add(src, dst int, bytes uint64) {
 type adaptive struct {
 	e    *Engine
 	cfg  AdaptiveConfig
-	pol  *AdaptivePolicy
 	k    int
 	prof *liveProfile
 
@@ -140,9 +128,10 @@ type adaptive struct {
 	// lastCum is the cumulative per-(src,dst) byte snapshot (sparse rows)
 	// at the previous boundary; the decision window is the delta against it.
 	lastCum []map[int]uint64
-	// history is the per-epoch report; the last entry is the open epoch,
-	// whose traffic counters are filled when it closes. openLogged/openSent
-	// are the cumulative totals at the open epoch's first boundary.
+	// history is the per-epoch report and the record of every epoch's
+	// partition; the last entry is the open epoch, whose traffic counters
+	// are filled when it closes. openLogged/openSent are the cumulative
+	// totals at the open epoch's first boundary.
 	history    []EpochInfo
 	openLogged uint64
 	openSent   uint64
@@ -154,15 +143,14 @@ type arrival struct {
 	count int
 }
 
-func newAdaptive(e *Engine, cfg AdaptiveConfig, pol *AdaptivePolicy, seedView *EpochView) *adaptive {
+func newAdaptive(e *Engine, cfg AdaptiveConfig, seedView *EpochView) *adaptive {
 	if cfg.RanksPerNode <= 0 {
 		cfg.RanksPerNode = 1
 	}
 	a := &adaptive{
 		e:        e,
 		cfg:      cfg,
-		pol:      pol,
-		k:        cfg.clusters(),
+		k:        seedView.Groups(),
 		prof:     newLiveProfile(e.world.Size()),
 		arrivals: make(map[int]*arrival),
 		decided:  make(map[int]*EpochView),
@@ -254,8 +242,8 @@ func (a *adaptive) decideLocked(iter int) (*EpochView, error) {
 	if !clustering.ShouldRepartition(win, cur.GroupOf(), cand, a.cfg.Hysteresis) {
 		return cur, nil
 	}
-	epoch := a.pol.Push(cand)
-	v, err := NewEpochView(a.pol, epoch, a.e.world.Size())
+	epoch := cur.Epoch() + 1
+	v, err := NewEpochView(epoch, cand)
 	if err != nil {
 		return nil, fmt.Errorf("core: adaptive repartition at iteration %d: %w", iter, err)
 	}

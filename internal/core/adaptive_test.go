@@ -37,10 +37,10 @@ func TestAdaptiveEngineStableWorkloadKeepsSeed(t *testing.T) {
 
 	adaptiveEng := runEngine(t, factory, adaptiveConfig(contiguous8(), 4, steps), nil)
 	staticEng := runEngine(t, factory, Config{
-		ClusterOf: contiguous8(),
-		Interval:  4,
-		Steps:     steps,
-		Storage:   checkpoint.NewMemoryStorage(),
+		Policy:   NewSPBCProtocol(contiguous8()),
+		Interval: 4,
+		Steps:    steps,
+		Storage:  checkpoint.NewMemoryStorage(),
 	}, nil)
 
 	if got := adaptiveEng.VerifyValues(); !reflect.DeepEqual(got, wantVerify) {
@@ -78,10 +78,10 @@ func TestAdaptiveEngineRepartitionsOnPhaseShift(t *testing.T) {
 
 	adaptiveEng := runEngine(t, factory, adaptiveConfig(contiguous8(), 2, steps), nil)
 	staticEng := runEngine(t, factory, Config{
-		ClusterOf: contiguous8(),
-		Interval:  2,
-		Steps:     steps,
-		Storage:   checkpoint.NewMemoryStorage(),
+		Policy:   NewSPBCProtocol(contiguous8()),
+		Interval: 2,
+		Steps:    steps,
+		Storage:  checkpoint.NewMemoryStorage(),
 	}, nil)
 
 	if got := adaptiveEng.VerifyValues(); !reflect.DeepEqual(got, wantVerify) {
@@ -256,8 +256,8 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 		{Adaptive: &AdaptiveConfig{Seed: []int{0, 1}}, Steps: 4, Storage: checkpoint.NewMemoryStorage()},
 		// Adaptive without a seed partition.
 		{Adaptive: &AdaptiveConfig{}, Interval: 2, Steps: 4, Storage: checkpoint.NewMemoryStorage()},
-		// Adaptive combined with a static shortcut.
-		{Adaptive: &AdaptiveConfig{Seed: []int{0, 0}}, ClusterOf: []int{0, 0}, Interval: 2, Steps: 4, Storage: checkpoint.NewMemoryStorage()},
+		// Adaptive combined with a static policy.
+		{Adaptive: &AdaptiveConfig{Seed: []int{0, 0}}, Policy: NewSPBCProtocol([]int{0, 0}), Interval: 2, Steps: 4, Storage: checkpoint.NewMemoryStorage()},
 	}
 	for i, cfg := range cases {
 		if _, _, err := cfg.resolve(2); err == nil {

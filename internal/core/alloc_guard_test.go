@@ -54,11 +54,11 @@ func allocsPerRound(t *testing.T, p0, p1 *mpi.Proc, store *logstore.Store, size 
 // native) at each payload size. Every cell measures 2 (the two request
 // headers); the ceilings, 3.0 unlogged and 3.5 logged, leave slack for a GC
 // draining the pools mid-run.
-func guardEagerSend(t *testing.T, pol Policy) {
+func guardEagerSend(t *testing.T, pol *Policy) {
 	t.Helper()
 	skipAllocGuardUnderRace(t)
 	ceiling := 3.0
-	if pol != nil && pol.Logs(0, 0, 1) {
+	if pol != nil && pol.groupOf[0] != pol.groupOf[1] {
 		ceiling = 3.5
 	}
 	for _, size := range []int{64, 1024, 16384} {
@@ -110,13 +110,13 @@ func TestAllocGuardTracedSend(t *testing.T) {
 	}
 }
 
-// TestAllocGuardEpochView pins the cached-policy-view invariant: the engine
+// TestAllocGuardEpochView pins the cached-view invariant: the engine
 // validates each epoch once into an EpochView, and every subsequent group or
 // logging lookup — the per-send Logs check and the per-wave GroupOf access —
-// is a slice read with zero allocations. A view that re-called the Policy
-// interface (which returns a fresh copy per call) would trip this instantly.
+// is a slice read with zero allocations. A view that copied the partition per
+// call would trip this instantly.
 func TestAllocGuardEpochView(t *testing.T) {
-	view, err := NewEpochView(NewSPBCProtocol([]int{0, 0, 1, 1, 2, 2, 3, 3}), 0, 8)
+	view, err := NewEpochView(0, []int{0, 0, 1, 1, 2, 2, 3, 3})
 	if err != nil {
 		t.Fatalf("NewEpochView: %v", err)
 	}
@@ -133,7 +133,7 @@ func TestAllocGuardEpochView(t *testing.T) {
 	})
 	if perOp != 0 {
 		t.Errorf("cached epoch view allocates %.1f objects per access batch, want 0: "+
-			"a policy call returned to the hot path", perOp)
+			"a per-call copy returned to the hot path", perOp)
 	}
 	_ = sink
 	_ = sum

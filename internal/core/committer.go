@@ -96,10 +96,9 @@ type commitShard struct {
 // committer drains captured checkpoint waves to stable storage in the
 // background.
 type committer struct {
-	e       *Engine
-	storage checkpoint.Storage
-	ws      checkpoint.WaveStorage // nil when storage lacks the two-phase fast path
-	delta   *deltaState            // nil unless the storage stack advertises a DeltaPolicy
+	e     *Engine
+	ws    checkpoint.WaveStorage
+	delta *deltaState // nil unless the storage stack advertises a DeltaPolicy
 
 	shards [commitShards]*commitShard
 	wg     sync.WaitGroup
@@ -113,13 +112,10 @@ type committer struct {
 	err     error // first stage/publish error
 }
 
-func newCommitter(e *Engine, storage checkpoint.Storage) *committer {
-	c := &committer{e: e, storage: storage}
-	c.ws, _ = storage.(checkpoint.WaveStorage)
-	if c.ws != nil {
-		if sink := probeDeltaSink(c.ws); sink != nil {
-			c.delta = newDeltaState(sink)
-		}
+func newCommitter(e *Engine, ws checkpoint.WaveStorage) *committer {
+	c := &committer{e: e, ws: ws}
+	if sink := probeDeltaSink(ws); sink != nil {
+		c.delta = newDeltaState(sink)
 	}
 	for i := range c.shards {
 		s := &commitShard{
@@ -250,13 +246,6 @@ func (c *committer) commitWave(s *commitShard, w *wave) {
 	plans := make([]*deltaPlan, len(w.members))
 	stage := func(i int) {
 		cp := w.members[i]
-		if c.ws == nil {
-			// Plain Storage fallback: publish is a full Save. The capture's
-			// buffer references stay valid until the wave is released, so
-			// Save sees consistent payloads.
-			commits[i] = func() error { return c.storage.Save(cp) }
-			return
-		}
 		image, err := checkpoint.EncodeBuffer(cp)
 		if err != nil {
 			errs[i] = err
@@ -359,9 +348,7 @@ func (c *committer) commitWave(s *commitShard, w *wave) {
 			s.mu.Unlock()
 			c.setErr(fmt.Errorf("core: publish checkpoint of rank %d: %w", w.members[i].Rank, err))
 			for _, abort := range aborts[i:] {
-				if abort != nil {
-					abort()
-				}
+				abort()
 			}
 			dropPlans(0)
 			w.discard()

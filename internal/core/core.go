@@ -7,19 +7,19 @@
 //
 // Three types form the public surface:
 //
-//   - Policy is the strategy interface that makes the protocols peers of one
-//     engine: it decides who checkpoints together (and therefore rolls back
-//     together) and which messages are sender-logged. SPBCProtocol is the
-//     paper's hybrid (clusters checkpoint together, inter-cluster messages
-//     are logged); CoordinatedProtocol is pure coordinated checkpointing
+//   - Policy makes the protocols peers of one engine. It is a partition of
+//     the world into recovery groups: the members of a group checkpoint (and
+//     roll back) together, and exactly the messages between groups are
+//     sender-logged. NewSPBCProtocol is the paper's hybrid (one group per
+//     cluster); NewCoordinatedProtocol is pure coordinated checkpointing
 //     (one global group, nothing logged, full-world rollback);
-//     FullLogProtocol is full sender-based message logging (per-process
-//     groups, every message logged, single-rank rollback).
+//     NewFullLogProtocol is full sender-based message logging (one group per
+//     rank, every message logged, single-rank rollback).
 //
 //   - SPBC implements mpi.Protocol, mirroring the paper's MPICH
 //     modification: it stamps every message and reception request with the
 //     active (pattern, iteration) identifier (Section 4.3), logs the payload
-//     of the messages its Policy selects in the sender's logstore.Store
+//     of every inter-group message in the sender's logstore.Store
 //     (Section 4.2), and suppresses the re-transmission of already-sent
 //     messages during recovery re-execution (Algorithm 1 line 7).
 //

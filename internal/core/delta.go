@@ -22,7 +22,7 @@ import (
 // is offered the wave's full images — the buffers the committer keeps as delta
 // bases anyway — so it need not reconstruct them from the frames it staged.
 type deltaSink interface {
-	DeltaPolicy() (checkpoint.DeltaPolicy, bool)
+	DeltaPolicy() checkpoint.DeltaPolicy
 	AdoptImage(rank, wave int, full *buf.Buffer)
 }
 
@@ -37,9 +37,6 @@ type storageUnwrapper interface {
 func probeDeltaSink(ws checkpoint.WaveStorage) deltaSink {
 	for ws != nil {
 		if ds, ok := ws.(deltaSink); ok {
-			if _, enabled := ds.DeltaPolicy(); !enabled {
-				return nil
-			}
 			return ds
 		}
 		u, ok := ws.(storageUnwrapper)
@@ -90,8 +87,7 @@ type deltaState struct {
 }
 
 func newDeltaState(sink deltaSink) *deltaState {
-	policy, _ := sink.DeltaPolicy()
-	return &deltaState{sink: sink, policy: policy.Normalized(), prev: make(map[int]*prevImage)}
+	return &deltaState{sink: sink, policy: sink.DeltaPolicy().Normalized(), prev: make(map[int]*prevImage)}
 }
 
 // encode picks the staged representation for one member's full image. It

@@ -34,7 +34,7 @@ func newAdoptionTracker(cfg checkpoint.TieredConfig) *adoptionTracker {
 
 func (a *adoptionTracker) Unwrap() checkpoint.WaveStorage { return a.inner }
 
-func (a *adoptionTracker) DeltaPolicy() (checkpoint.DeltaPolicy, bool) { return a.inner.DeltaPolicy() }
+func (a *adoptionTracker) DeltaPolicy() checkpoint.DeltaPolicy { return a.inner.DeltaPolicy() }
 
 func (a *adoptionTracker) AdoptImage(rank, wave int, full *bufpkg.Buffer) {
 	a.mu.Lock()
@@ -126,11 +126,11 @@ func TestCommitterSharesBaseImageWithTier(t *testing.T) {
 		t.Fatalf("NewWorld: %v", err)
 	}
 	eng, err := NewEngine(w, Config{
-		ClusterOf: []int{0, 0, 1, 1},
-		Interval:  2,
-		Steps:     steps,
-		Storage:   storage,
-		Faults:    []Fault{{Rank: 2, Iteration: 5}},
+		Policy:   NewSPBCProtocol([]int{0, 0, 1, 1}),
+		Interval: 2,
+		Steps:    steps,
+		Storage:  storage,
+		Faults:   []Fault{{Rank: 2, Iteration: 5}},
 		// As TestEngineFaultMidDrainRecoversFromDurableWave: cluster 1's waves
 		// at iterations 2 and 4 are held until recovery has canceled them.
 		Faultpoints: NewFaultRegistry().Register(PointMidCommitDrain,
@@ -195,7 +195,7 @@ func TestCommitterStageErrorReleasesStagedAndAdopted(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewWorld: %v", err)
 	}
-	eng, err := NewEngine(w, Config{ClusterOf: []int{0, 0, 1, 1}, Interval: 2, Steps: steps, Storage: storage})
+	eng, err := NewEngine(w, Config{Policy: NewSPBCProtocol([]int{0, 0, 1, 1}), Interval: 2, Steps: steps, Storage: storage})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}

@@ -18,8 +18,9 @@ import (
 // failed rank loses its in-memory state (application state, channel state and
 // sender-based log) and its whole recovery group rolls back to the group's
 // latest coordinated checkpoint; other groups keep running. Under
-// SPBCProtocol the group is the rank's cluster, under CoordinatedProtocol it
-// is the whole world, under FullLogProtocol it is the failed rank alone.
+// NewSPBCProtocol the group is the rank's cluster, under
+// NewCoordinatedProtocol it is the whole world, under NewFullLogProtocol it
+// is the failed rank alone.
 //
 // Failures are injected at iteration boundaries: applications are quiescent
 // there (no pending requests), which is also where the paper's protocol takes
@@ -31,16 +32,13 @@ type Fault struct {
 
 // Config parameterizes an Engine run.
 type Config struct {
-	// Policy selects the fault-tolerance protocol: who checkpoints together,
-	// what gets logged, who rolls back. Exactly one of Policy, ClusterOf and
-	// Adaptive must be set.
-	Policy Policy
-	// ClusterOf is a shortcut for Policy: a non-nil cluster assignment
-	// (typically produced by clustering.Partition from a communication
-	// profile) selects NewSPBCProtocol(ClusterOf).
-	ClusterOf []int
-	// Adaptive selects adaptive epoch-based clustering: an AdaptivePolicy
-	// seeded with Adaptive.Seed whose partition is re-evaluated from the live
+	// Policy selects the fault-tolerance protocol: the partition into
+	// recovery groups that decides who checkpoints together, what gets logged
+	// (every inter-group message) and who rolls back. Exactly one of Policy
+	// and Adaptive must be set.
+	Policy *Policy
+	// Adaptive selects adaptive epoch-based clustering: SPBC seeded with
+	// Adaptive.Seed whose partition is re-evaluated from the live
 	// communication profile at every checkpoint-wave boundary. Requires a
 	// positive Interval (epochs open only at wave boundaries).
 	Adaptive *AdaptiveConfig
@@ -51,10 +49,9 @@ type Config struct {
 	Interval int
 	// Steps is the number of application iterations to run.
 	Steps int
-	// Storage receives the checkpoints. Storages implementing
-	// checkpoint.WaveStorage get the two-phase fast path: encoded images are
-	// staged in parallel and whole waves publish atomically; plain Storages
-	// fall back to Save at publish time.
+	// Storage receives the checkpoints. It must implement
+	// checkpoint.WaveStorage: encoded images are staged in parallel and
+	// whole waves publish atomically.
 	Storage checkpoint.Storage
 	// Faults is the failure plan. Iterations must lie in [0, Steps), and a
 	// rank may fail at most once per iteration boundary.
@@ -66,49 +63,38 @@ type Config struct {
 	Faultpoints *FaultRegistry
 }
 
-// policy resolves the configured policy, applying the ClusterOf and Adaptive
-// shortcuts.
-func (c *Config) policy() (Policy, error) {
-	set := 0
+// seed returns the epoch-0 partition of the configured policy.
+func (c *Config) seed() ([]int, error) {
+	if (c.Policy == nil) == (c.Adaptive == nil) {
+		return nil, fmt.Errorf("core: set exactly one of Policy and Adaptive")
+	}
 	if c.Policy != nil {
-		set++
+		return c.Policy.groupOf, nil
 	}
-	if c.ClusterOf != nil {
-		set++
+	if err := c.Adaptive.validate(); err != nil {
+		return nil, err
 	}
-	if c.Adaptive != nil {
-		set++
+	if c.Interval <= 0 {
+		return nil, fmt.Errorf("core: adaptive clustering needs a positive checkpoint interval (epochs open at wave boundaries)")
 	}
-	if set != 1 {
-		return nil, fmt.Errorf("core: set exactly one of Policy, ClusterOf and Adaptive")
-	}
-	switch {
-	case c.Policy != nil:
-		return c.Policy, nil
-	case c.ClusterOf != nil:
-		return NewSPBCProtocol(c.ClusterOf), nil
-	default:
-		if err := c.Adaptive.validate(); err != nil {
-			return nil, err
-		}
-		if c.Interval <= 0 {
-			return nil, fmt.Errorf("core: adaptive clustering needs a positive checkpoint interval (epochs open at wave boundaries)")
-		}
-		return NewAdaptivePolicy(c.Adaptive.Seed), nil
-	}
+	return c.Adaptive.Seed, nil
 }
 
 // resolve validates the configuration against a world size and returns the
-// resolved policy with its validated epoch-0 view.
-func (c *Config) resolve(size int) (Policy, *EpochView, error) {
+// validated epoch-0 view and the two-phase checkpoint storage (nil without
+// checkpointing).
+func (c *Config) resolve(size int) (*EpochView, checkpoint.WaveStorage, error) {
 	if c.Steps <= 0 {
 		return nil, nil, fmt.Errorf("core: steps must be positive, got %d", c.Steps)
 	}
-	pol, err := c.policy()
+	seed, err := c.seed()
 	if err != nil {
 		return nil, nil, err
 	}
-	view, err := NewEpochView(pol, 0, size)
+	if len(seed) != size {
+		return nil, nil, fmt.Errorf("core: policy assigns %d ranks, world has %d", len(seed), size)
+	}
+	view, err := NewEpochView(0, seed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -126,6 +112,10 @@ func (c *Config) resolve(size int) (Policy, *EpochView, error) {
 	if c.Interval > 0 && c.Storage == nil {
 		return nil, nil, fmt.Errorf("core: checkpointing requires storage")
 	}
+	ws, ok := c.Storage.(checkpoint.WaveStorage)
+	if c.Storage != nil && !ok {
+		return nil, nil, fmt.Errorf("core: storage %T does not implement checkpoint.WaveStorage", c.Storage)
+	}
 	seen := make(map[Fault]bool, len(c.Faults))
 	for _, f := range c.Faults {
 		if f.Rank < 0 || f.Rank >= size {
@@ -139,7 +129,7 @@ func (c *Config) resolve(size int) (Policy, *EpochView, error) {
 		}
 		seen[f] = true
 	}
-	return pol, view, nil
+	return view, ws, nil
 }
 
 // Metrics accumulates the engine-level counters of one run. They complement
@@ -212,13 +202,11 @@ type counters struct {
 // storage and the per-rank log stores into a full run: it drives one
 // model.App instance per rank behind a model.Process facade and owns
 // checkpointing, failure injection and recovery. The mechanism is shared
-// across policies; everything protocol-specific is delegated to the Policy,
-// consumed through per-epoch cached EpochViews. Create it with NewEngine and
-// drive it with Run.
+// across policies; the only protocol-specific input is the partition, held
+// as one EpochView per epoch. Create it with NewEngine and drive it with Run.
 type Engine struct {
 	world     *mpi.World
 	cfg       Config
-	pol       Policy
 	protos    []*SPBC
 	stores    []*logstore.Store
 	bar       *rendezvous
@@ -255,14 +243,13 @@ type Engine struct {
 // (no communication yet): the engine attaches a runtime protocol instance to
 // every rank.
 func NewEngine(w *mpi.World, cfg Config) (*Engine, error) {
-	pol, view, err := cfg.resolve(w.Size())
+	view, ws, err := cfg.resolve(w.Size())
 	if err != nil {
 		return nil, err
 	}
 	e := &Engine{
 		world:     w,
 		cfg:       cfg,
-		pol:       pol,
 		view:      view,
 		protos:    make([]*SPBC, w.Size()),
 		stores:    make([]*logstore.Store, w.Size()),
@@ -288,11 +275,11 @@ func NewEngine(w *mpi.World, cfg Config) (*Engine, error) {
 			e.protos[r] = newSPBCWithView(r, view, w.Cost(), e.stores[r])
 		}
 	})
-	if cfg.Storage != nil {
-		e.committer = newCommitter(e, cfg.Storage)
+	if ws != nil {
+		e.committer = newCommitter(e, ws)
 	}
 	if cfg.Adaptive != nil {
-		e.adapt = newAdaptive(e, *cfg.Adaptive, pol.(*AdaptivePolicy), view)
+		e.adapt = newAdaptive(e, *cfg.Adaptive, view)
 		for r := 0; r < w.Size(); r++ {
 			e.protos[r].setProfile(e.adapt.prof)
 		}
@@ -302,9 +289,6 @@ func NewEngine(w *mpi.World, cfg Config) (*Engine, error) {
 
 // World returns the underlying world.
 func (e *Engine) World() *mpi.World { return e.world }
-
-// Policy returns the fault-tolerance policy the engine runs.
-func (e *Engine) Policy() Policy { return e.pol }
 
 // currentView returns the view of the latest opened epoch.
 func (e *Engine) currentView() *EpochView {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/app"
+	"repro/internal/buf"
 	"repro/internal/checkpoint"
 	"repro/internal/model"
 	"repro/internal/mpi"
@@ -13,10 +14,10 @@ import (
 	"repro/internal/trace"
 )
 
-// countingStorage wraps a Storage and counts Load calls per rank, so tests
-// can assert which ranks actually restored a checkpoint.
+// countingStorage wraps a WaveStorage and counts Load calls per rank, so
+// tests can assert which ranks actually restored a checkpoint.
 type countingStorage struct {
-	inner checkpoint.Storage
+	inner checkpoint.WaveStorage
 	mu    sync.Mutex
 	loads map[int]int
 }
@@ -26,6 +27,10 @@ func newCountingStorage() *countingStorage {
 }
 
 func (c *countingStorage) Save(cp *checkpoint.Checkpoint) error { return c.inner.Save(cp) }
+
+func (c *countingStorage) StageImage(rank int, image *buf.Buffer) (func() error, func(), error) {
+	return c.inner.StageImage(rank, image)
+}
 
 func (c *countingStorage) Load(rank int) (*checkpoint.Checkpoint, bool, error) {
 	c.mu.Lock()
@@ -42,7 +47,7 @@ func (c *countingStorage) loadsOf(rank int) int {
 	return c.loads[rank]
 }
 
-var _ checkpoint.Storage = (*countingStorage)(nil)
+var _ checkpoint.WaveStorage = (*countingStorage)(nil)
 
 func testCost() simnet.CostModel {
 	c := simnet.DefaultCostModel()
@@ -90,14 +95,11 @@ func runEngine(t *testing.T, factory model.AppFactory, cfg Config, rec *trace.Re
 	if rec != nil {
 		opts = append(opts, mpi.WithRecorder(rec))
 	}
-	size := len(cfg.ClusterOf)
-	if cfg.Policy != nil {
-		size = len(cfg.Policy.GroupOf(0))
+	seed, err := cfg.seed()
+	if err != nil {
+		t.Fatalf("config: %v", err)
 	}
-	if cfg.Adaptive != nil {
-		size = len(cfg.Adaptive.Seed)
-	}
-	w, err := mpi.NewWorld(size, testCost(), opts...)
+	w, err := mpi.NewWorld(len(seed), testCost(), opts...)
 	if err != nil {
 		t.Fatalf("NewWorld: %v", err)
 	}
@@ -136,10 +138,10 @@ func TestEngineFailureFreeMatchesBaseline(t *testing.T) {
 
 			recSPBC := trace.NewRecorder(ranks)
 			eng := runEngine(t, tc.factory, Config{
-				ClusterOf: clusterOf,
-				Interval:  4,
-				Steps:     steps,
-				Storage:   checkpoint.NewMemoryStorage(),
+				Policy:   NewSPBCProtocol(clusterOf),
+				Interval: 4,
+				Steps:    steps,
+				Storage:  checkpoint.NewMemoryStorage(),
 			}, recSPBC)
 
 			if got := eng.VerifyValues(); !reflect.DeepEqual(got, wantVerify) {
@@ -163,10 +165,10 @@ func TestEngineLogsInterClusterTrafficOnly(t *testing.T) {
 	const ranks, steps = 8, 9
 	clusterOf := []int{0, 0, 0, 0, 1, 1, 1, 1}
 	eng := runEngine(t, app.NewRing(8, 3), Config{
-		ClusterOf: clusterOf,
-		Interval:  3,
-		Steps:     steps,
-		Storage:   checkpoint.NewMemoryStorage(),
+		Policy:   NewSPBCProtocol(clusterOf),
+		Interval: 3,
+		Steps:    steps,
+		Storage:  checkpoint.NewMemoryStorage(),
 	}, nil)
 
 	perCluster := eng.LoggedBytesByCluster()
@@ -200,11 +202,11 @@ func TestEngineRecoveryRollsBackOnlyFailedCluster(t *testing.T) {
 	// back to the wave taken at iteration 4 and re-executes 4..6, replaying
 	// the iteration-5 allreduce fragments it had received from cluster 0.
 	eng := runEngine(t, factory, Config{
-		ClusterOf: clusterOf,
-		Interval:  4,
-		Steps:     steps,
-		Storage:   storage,
-		Faults:    []Fault{{Rank: 6, Iteration: 7}},
+		Policy:   NewSPBCProtocol(clusterOf),
+		Interval: 4,
+		Steps:    steps,
+		Storage:  storage,
+		Faults:   []Fault{{Rank: 6, Iteration: 7}},
 	}, nil)
 
 	if got := eng.VerifyValues(); !reflect.DeepEqual(got, wantVerify) {
@@ -254,11 +256,11 @@ func TestEngineRecoveryOfFailedRankRestoresLogFromCheckpoint(t *testing.T) {
 
 	wantVerify := runNative(t, factory, ranks, steps, nil)
 	eng := runEngine(t, factory, Config{
-		ClusterOf: clusterOf,
-		Interval:  2,
-		Steps:     steps,
-		Storage:   checkpoint.NewMemoryStorage(),
-		Faults:    []Fault{{Rank: 0, Iteration: 3}},
+		Policy:   NewSPBCProtocol(clusterOf),
+		Interval: 2,
+		Steps:    steps,
+		Storage:  checkpoint.NewMemoryStorage(),
+		Faults:   []Fault{{Rank: 0, Iteration: 3}},
 	}, nil)
 	if got := eng.VerifyValues(); !reflect.DeepEqual(got, wantVerify) {
 		t.Fatalf("post-recovery verify = %v, want %v", got, wantVerify)
@@ -276,11 +278,11 @@ func TestEngineMultiClusterSimultaneousFailure(t *testing.T) {
 
 	wantVerify := runNative(t, factory, ranks, steps, nil)
 	eng := runEngine(t, factory, Config{
-		ClusterOf: clusterOf,
-		Interval:  5,
-		Steps:     steps,
-		Storage:   checkpoint.NewMemoryStorage(),
-		Faults:    []Fault{{Rank: 0, Iteration: 7}, {Rank: 5, Iteration: 7}},
+		Policy:   NewSPBCProtocol(clusterOf),
+		Interval: 5,
+		Steps:    steps,
+		Storage:  checkpoint.NewMemoryStorage(),
+		Faults:   []Fault{{Rank: 0, Iteration: 7}, {Rank: 5, Iteration: 7}},
 	}, nil)
 	if got := eng.VerifyValues(); !reflect.DeepEqual(got, wantVerify) {
 		t.Fatalf("post-recovery verify = %v, want %v", got, wantVerify)
@@ -298,10 +300,10 @@ func TestEngineLogGarbageCollection(t *testing.T) {
 	const ranks, steps = 4, 12
 	clusterOf := []int{0, 0, 1, 1}
 	eng := runEngine(t, app.NewRing(8, 2), Config{
-		ClusterOf: clusterOf,
-		Interval:  3,
-		Steps:     steps,
-		Storage:   checkpoint.NewMemoryStorage(),
+		Policy:   NewSPBCProtocol(clusterOf),
+		Interval: 3,
+		Steps:    steps,
+		Storage:  checkpoint.NewMemoryStorage(),
 	}, nil)
 	m := eng.Metrics()
 	if m.TruncatedLogRecords == 0 {
@@ -317,18 +319,24 @@ func TestEngineLogGarbageCollection(t *testing.T) {
 	}
 }
 
+// plainStorage hides its store's StageImage: it implements
+// checkpoint.Storage but not the two-phase checkpoint.WaveStorage the
+// committer needs.
+type plainStorage struct{ checkpoint.Storage }
+
 func TestEngineConfigValidation(t *testing.T) {
 	w, err := mpi.NewWorld(2, testCost())
 	if err != nil {
 		t.Fatalf("NewWorld: %v", err)
 	}
 	cases := []Config{
-		{ClusterOf: []int{0}, Steps: 1},                                              // wrong assignment length
-		{ClusterOf: []int{0, 0}, Steps: 0},                                           // no steps
-		{ClusterOf: []int{0, 0}, Steps: 4, Faults: []Fault{{Rank: 0, Iteration: 1}}}, // faults without checkpointing
-		{ClusterOf: []int{0, 0}, Steps: 4, Interval: 2},                              // checkpointing without storage
-		{ClusterOf: []int{0, 0}, Steps: 4, Interval: 2, Storage: checkpoint.NewMemoryStorage(),
+		{Policy: NewSPBCProtocol([]int{0}), Steps: 1},                                              // wrong assignment length
+		{Policy: NewSPBCProtocol([]int{0, 0}), Steps: 0},                                           // no steps
+		{Policy: NewSPBCProtocol([]int{0, 0}), Steps: 4, Faults: []Fault{{Rank: 0, Iteration: 1}}}, // faults without checkpointing
+		{Policy: NewSPBCProtocol([]int{0, 0}), Steps: 4, Interval: 2},                              // checkpointing without storage
+		{Policy: NewSPBCProtocol([]int{0, 0}), Steps: 4, Interval: 2, Storage: checkpoint.NewMemoryStorage(),
 			Faults: []Fault{{Rank: 0, Iteration: 9}}}, // fault beyond the run
+		{Policy: NewSPBCProtocol([]int{0, 0}), Steps: 4, Interval: 2, Storage: plainStorage{checkpoint.NewMemoryStorage()}}, // storage without StageImage
 	}
 	for i, cfg := range cases {
 		if _, err := NewEngine(w, cfg); err == nil {

@@ -24,11 +24,11 @@ func TestEngineRejectsDuplicateFault(t *testing.T) {
 		t.Fatalf("NewWorld: %v", err)
 	}
 	_, err = NewEngine(w, Config{
-		ClusterOf: []int{0, 0, 1, 1},
-		Interval:  2,
-		Steps:     8,
-		Storage:   checkpoint.NewMemoryStorage(),
-		Faults:    []Fault{{Rank: 2, Iteration: 3}, {Rank: 3, Iteration: 3}, {Rank: 2, Iteration: 3}},
+		Policy:   NewSPBCProtocol([]int{0, 0, 1, 1}),
+		Interval: 2,
+		Steps:    8,
+		Storage:  checkpoint.NewMemoryStorage(),
+		Faults:   []Fault{{Rank: 2, Iteration: 3}, {Rank: 3, Iteration: 3}, {Rank: 2, Iteration: 3}},
 	})
 	if err == nil {
 		t.Fatal("duplicate (rank, iteration) fault plan must be rejected")
@@ -45,11 +45,11 @@ func TestEngineAllowsCorrelatedFaultsAtOneBoundary(t *testing.T) {
 	factory := app.NewRing(16, 3)
 	wantVerify := runNative(t, factory, ranks, steps, nil)
 	eng := runEngine(t, factory, Config{
-		ClusterOf: []int{0, 0, 1, 1},
-		Interval:  2,
-		Steps:     steps,
-		Storage:   checkpoint.NewMemoryStorage(),
-		Faults:    []Fault{{Rank: 0, Iteration: 3}, {Rank: 3, Iteration: 3}},
+		Policy:   NewSPBCProtocol([]int{0, 0, 1, 1}),
+		Interval: 2,
+		Steps:    steps,
+		Storage:  checkpoint.NewMemoryStorage(),
+		Faults:   []Fault{{Rank: 0, Iteration: 3}, {Rank: 3, Iteration: 3}},
 	}, nil)
 	if got := eng.VerifyValues(); !reflect.DeepEqual(got, wantVerify) {
 		t.Fatalf("verify = %v, want %v", got, wantVerify)
@@ -99,11 +99,11 @@ func TestFirstWaveStageErrorSurfacesAtRecovery(t *testing.T) {
 		t.Fatalf("NewWorld: %v", err)
 	}
 	eng, err := NewEngine(w, Config{
-		ClusterOf: []int{0, 0, 1, 1},
-		Interval:  4,
-		Steps:     8,
-		Storage:   storage,
-		Faults:    []Fault{{Rank: 1, Iteration: 2}},
+		Policy:   NewSPBCProtocol([]int{0, 0, 1, 1}),
+		Interval: 4,
+		Steps:    8,
+		Storage:  storage,
+		Faults:   []Fault{{Rank: 1, Iteration: 2}},
 	})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -129,10 +129,10 @@ func TestArmFaultOutsideHookRejected(t *testing.T) {
 		t.Fatalf("NewWorld: %v", err)
 	}
 	eng, err := NewEngine(w, Config{
-		ClusterOf: []int{0, 0, 1, 1},
-		Interval:  2,
-		Steps:     8,
-		Storage:   checkpoint.NewMemoryStorage(),
+		Policy:   NewSPBCProtocol([]int{0, 0, 1, 1}),
+		Interval: 2,
+		Steps:    8,
+		Storage:  checkpoint.NewMemoryStorage(),
 	})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -156,7 +156,7 @@ func TestArmFaultRejectsIterationPastFailurePoint(t *testing.T) {
 		once.Do(func() { armErr = e.ArmFault(Fault{Rank: 3, Iteration: info.Iteration + 1}) })
 	})
 	runEngine(t, factory, Config{
-		ClusterOf:   []int{0, 0, 1, 1},
+		Policy:      NewSPBCProtocol([]int{0, 0, 1, 1}),
 		Interval:    2,
 		Steps:       steps,
 		Storage:     checkpoint.NewMemoryStorage(),
@@ -185,7 +185,7 @@ func TestArmFaultRejectsCrossGroupBelowBoundary(t *testing.T) {
 		once.Do(func() { armErr = e.ArmFault(Fault{Rank: 0, Iteration: info.Iteration - 1}) })
 	})
 	runEngine(t, factory, Config{
-		ClusterOf:   []int{0, 0, 1, 1},
+		Policy:      NewSPBCProtocol([]int{0, 0, 1, 1}),
 		Interval:    2,
 		Steps:       steps,
 		Storage:     checkpoint.NewMemoryStorage(),
@@ -208,10 +208,10 @@ func TestScheduleFaultValidatesBounds(t *testing.T) {
 		t.Fatalf("NewWorld: %v", err)
 	}
 	eng, err := NewEngine(w, Config{
-		ClusterOf: []int{0, 0, 1, 1},
-		Interval:  2,
-		Steps:     8,
-		Storage:   checkpoint.NewMemoryStorage(),
+		Policy:   NewSPBCProtocol([]int{0, 0, 1, 1}),
+		Interval: 2,
+		Steps:    8,
+		Storage:  checkpoint.NewMemoryStorage(),
 	})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -270,7 +270,7 @@ func TestEngineFaultPointsFireAcrossLifecycle(t *testing.T) {
 		})
 	}
 	eng := runEngine(t, factory, Config{
-		ClusterOf:   []int{0, 0, 1, 1},
+		Policy:      NewSPBCProtocol([]int{0, 0, 1, 1}),
 		Interval:    2,
 		Steps:       steps,
 		Storage:     checkpoint.NewMemoryStorage(),
@@ -327,7 +327,7 @@ func TestEngineDoubleFaultDuringReplay(t *testing.T) {
 
 	rec := trace.NewRecorder(ranks)
 	eng := runEngine(t, factory, Config{
-		ClusterOf:   clusterOf,
+		Policy:      NewSPBCProtocol(clusterOf),
 		Interval:    2,
 		Steps:       steps,
 		Storage:     checkpoint.NewMemoryStorage(),
@@ -374,7 +374,7 @@ func TestEngineDoubleFaultCrossCluster(t *testing.T) {
 
 	rec := trace.NewRecorder(ranks)
 	eng := runEngine(t, factory, Config{
-		ClusterOf:   []int{0, 0, 1, 1},
+		Policy:      NewSPBCProtocol([]int{0, 0, 1, 1}),
 		Interval:    2,
 		Steps:       steps,
 		Storage:     checkpoint.NewMemoryStorage(),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/logstore"
 	"repro/internal/mpi"
 	"repro/internal/simnet"
@@ -25,7 +26,7 @@ const benchGCPeriod = 256
 // newBenchPair returns ranks 0 and 1 of a two-rank world running pol, or the
 // native runtime when pol is nil; store is rank 0's sender log (nil when
 // native).
-func newBenchPair(tb testing.TB, pol Policy) (p0, p1 *mpi.Proc, store *logstore.Store) {
+func newBenchPair(tb testing.TB, pol *Policy) (p0, p1 *mpi.Proc, store *logstore.Store) {
 	tb.Helper()
 	w, err := mpi.NewWorld(2, simnet.DefaultCostModel())
 	if err != nil {
@@ -62,7 +63,7 @@ func runEagerSteadyState(p0, p1 *mpi.Proc, store *logstore.Store, payload, rbuf 
 	return nil
 }
 
-func benchEagerSend(b *testing.B, pol Policy, size int) {
+func benchEagerSend(b *testing.B, pol *Policy, size int) {
 	p0, p1, store := newBenchPair(b, pol)
 	payload := make([]byte, size)
 	for i := range payload {
@@ -120,5 +121,42 @@ func BenchmarkEagerSendTraced(b *testing.B) {
 	b.ResetTimer()
 	if err := runEagerSteadyState(p0, p1, nil, payload, rbuf, b.N); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkNewEngine measures engine set-up alone (epoch-0 view, cluster
+// comms, per-rank runtimes, committer) on a fresh world per iteration; the
+// world build is excluded from the timer.
+func BenchmarkNewEngine(b *testing.B) {
+	for _, ranks := range []int{256, 4096} {
+		blocks := make([]int, ranks)
+		for r := range blocks {
+			blocks[r] = r / 16
+		}
+		configs := []struct {
+			name string
+			cfg  Config
+		}{
+			{"full-log", Config{Policy: NewFullLogProtocol(ranks)}},
+			{"adaptive", Config{Adaptive: &AdaptiveConfig{Seed: blocks}}},
+		}
+		for _, c := range configs {
+			b.Run(fmt.Sprintf("%s/ranks=%d", c.name, ranks), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					w, err := mpi.NewWorld(ranks, simnet.DefaultCostModel())
+					if err != nil {
+						b.Fatal(err)
+					}
+					cfg := c.cfg
+					cfg.Interval, cfg.Steps, cfg.Storage = 2, 4, checkpoint.NewMemoryStorage()
+					b.StartTimer()
+					if _, err := NewEngine(w, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -71,11 +71,11 @@ func TestEngineFaultMidDrainRecoversFromDurableWave(t *testing.T) {
 	storage := newLoadRecorder()
 	release := make(chan struct{})
 	cfg := Config{
-		ClusterOf: clusterOf,
-		Interval:  2,
-		Steps:     steps,
-		Storage:   storage,
-		Faults:    []Fault{{Rank: 2, Iteration: 5}},
+		Policy:   NewSPBCProtocol(clusterOf),
+		Interval: 2,
+		Steps:    steps,
+		Storage:  storage,
+		Faults:   []Fault{{Rank: 2, Iteration: 5}},
 		// Hold the commits of cluster 1's waves at iterations 2 and 4
 		// (wave seqs 1 and 2) until recovery has restored the rolled-back
 		// ranks: the fault at iteration 5 is then guaranteed to land while
@@ -161,11 +161,11 @@ func TestEngineFaultWaitsForFirstDurableWave(t *testing.T) {
 	wantVerify := runNative(t, factory, ranks, steps, nil)
 	storage := newLoadRecorder()
 	eng := runEngine(t, factory, Config{
-		ClusterOf: clusterOf,
-		Interval:  2,
-		Steps:     steps,
-		Storage:   storage,
-		Faults:    []Fault{{Rank: 3, Iteration: 1}},
+		Policy:   NewSPBCProtocol(clusterOf),
+		Interval: 2,
+		Steps:    steps,
+		Storage:  storage,
+		Faults:   []Fault{{Rank: 3, Iteration: 1}},
 		// Delay every commit of cluster 1 so the fault at iteration 1 always
 		// arrives before the iteration-0 wave is durable.
 		Faultpoints: NewFaultRegistry().Register(PointMidCommitDrain,
@@ -280,17 +280,6 @@ func TestAllocGuardCheckpointCapture(t *testing.T) {
 	}
 }
 
-// failingStorage stages nothing successfully: every commit attempt errors.
-type failingStorage struct{ inner *checkpoint.MemoryStorage }
-
-func (f *failingStorage) Save(cp *checkpoint.Checkpoint) error {
-	return fmt.Errorf("stable storage unavailable")
-}
-func (f *failingStorage) Load(rank int) (*checkpoint.Checkpoint, bool, error) {
-	return f.inner.Load(rank)
-}
-func (f *failingStorage) Ranks() ([]int, error) { return f.inner.Ranks() }
-
 // TestEngineCommitErrorDoesNotDeadlockRecovery pins the committer's error
 // wakeup: a fault racing a first wave whose commit fails must surface an
 // error (there is no durable wave to roll back to), never park the recovery
@@ -301,12 +290,18 @@ func TestEngineCommitErrorDoesNotDeadlockRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewWorld: %v", err)
 	}
+	// Every commit fails: no wave ever becomes durable.
+	failing, err := checkpoint.NewFaultStorage(checkpoint.NewMemoryStorage(),
+		checkpoint.FaultRule{Op: checkpoint.OpCommit, Mode: checkpoint.ModeFail, Rank: -1})
+	if err != nil {
+		t.Fatalf("NewFaultStorage: %v", err)
+	}
 	eng, err := NewEngine(w, Config{
-		ClusterOf: []int{0, 0, 1, 1},
-		Interval:  2,
-		Steps:     steps,
-		Storage:   &failingStorage{inner: checkpoint.NewMemoryStorage()},
-		Faults:    []Fault{{Rank: 3, Iteration: 1}},
+		Policy:   NewSPBCProtocol([]int{0, 0, 1, 1}),
+		Interval: 2,
+		Steps:    steps,
+		Storage:  failing,
+		Faults:   []Fault{{Rank: 3, Iteration: 1}},
 		Faultpoints: NewFaultRegistry().Register(PointMidCommitDrain,
 			func(_ *Engine, _ PointInfo) {
 				time.Sleep(time.Millisecond) // widen the fault-vs-first-commit race

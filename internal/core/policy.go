@@ -1,92 +1,86 @@
 package core
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// Policy is the strategy interface that captures everything protocol-specific
-// about a fault-tolerant execution. It is *epoch-versioned*: an epoch is one
-// version of the policy's decisions, and the engine switches epochs only at
-// checkpoint-wave boundaries (the wave that opens an epoch is its recovery
-// line). Static policies ignore the epoch argument; AdaptivePolicy grows new
-// epochs from the live communication profile while the run executes.
+// Policy is a fault-tolerance protocol, and a protocol here is a partition:
+// the paper's hybrid logs exactly the messages that cross a cluster boundary
+// (Algorithm 1), and its two baselines are that rule's extremes — coordinated
+// checkpointing is one cluster, full sender-based message logging is one
+// cluster per process. So a Policy is nothing but a recovery-group assignment:
 //
-//   - who checkpoints together: GroupOf(epoch) partitions the world into
-//     recovery groups; the members of a group take their checkpoints in one
-//     coordinated wave and roll back together when any member fails;
-//   - what gets logged: Logs(epoch, src, dst) selects the messages that must
-//     be copied into the sender's log store so they can be replayed after a
-//     failure of the destination's group without rolling back the sender.
+//   - who checkpoints together: the members of a group take their
+//     checkpoints in one coordinated wave and roll back together when any
+//     member fails;
+//   - what gets logged: every message between different groups is copied
+//     into the sender's log store, so it can be replayed after a failure of
+//     the destination's group without rolling back the sender. Nothing else
+//     is logged.
 //
 // The Engine supplies the shared mechanism — per-group checkpoint waves,
 // sender-based logging through the mpi.Protocol hook, remote-log garbage
-// collection, group rollback plus log replay — and defers every policy
-// decision to this interface, so pure coordinated checkpointing, full
-// message logging and the paper's hybrid run as peers of one engine and are
-// directly comparable, exactly as the paper's evaluation compares them.
-//
-// Policies are consumed through EpochView: the engine validates each epoch
-// once and caches the group assignment and the logging relation, so the hot
-// send path never calls back into the interface (and never allocates).
-type Policy interface {
-	// Name labels the protocol in reports.
-	Name() string
-	// GroupOf maps every world rank to its recovery group under the given
-	// epoch. Group ids must be dense, starting at zero. Callers treat the
-	// returned slice as their own copy.
-	GroupOf(epoch int) []int
-	// Logs reports whether application messages from world rank src to world
-	// rank dst must be sender-logged for replay under the given epoch. A
-	// policy must log at least every inter-group message: recovery replays
-	// them from the senders' logs.
-	Logs(epoch, src, dst int) bool
+// collection, group rollback plus log replay — so pure coordinated
+// checkpointing, full message logging and the paper's hybrid run as peers of
+// one engine and are directly comparable, exactly as the paper's evaluation
+// compares them. Adaptive clustering (Config.Adaptive) is the same rule over
+// a sequence of partitions, one per epoch, chosen while the run executes.
+type Policy struct {
+	groupOf []int
 }
 
-// GroupBoundaryLogger is an optional Policy refinement: a policy that
-// implements it with LogsGroupBoundaryOnly() == true promises that
-// Logs(epoch, src, dst) is true exactly when src and dst are in different
-// recovery groups of that epoch — no extra intra-group logging, no missing
-// inter-group logging. All built-in policies hold this by construction
-// (coordinated: one group, nothing inter-group; full-log: singleton groups,
-// everything inter-group; spbc/adaptive: cluster boundary).
-//
-// The promise lets NewEpochView skip materializing the O(world²) dense
-// logging matrix: at 16384 ranks that matrix is 256 MiB of bools plus 268M
-// Policy.Logs interface calls per epoch, which is the difference between a
-// scale cell fitting in memory or not. At small world sizes (≤ 256 ranks)
-// the view still cross-checks the promise against Policy.Logs exhaustively,
-// so a lying marker fails fast in every ordinary test.
-type GroupBoundaryLogger interface {
-	LogsGroupBoundaryOnly() bool
+// NewSPBCProtocol builds the paper's hybrid protocol from a cluster
+// assignment, typically produced by clustering.Partition from a communication
+// profile: recovery groups are the clusters, and only inter-cluster messages
+// are logged. A failure rolls back exactly one cluster; messages from other
+// clusters are re-delivered from the senders' logs.
+func NewSPBCProtocol(clusterOf []int) *Policy {
+	return &Policy{groupOf: append([]int(nil), clusterOf...)}
 }
 
-// EpochView is the engine's validated, immutable view of one policy epoch:
-// the group assignment and the logging relation, computed once and cached so
-// that per-send policy decisions are a slice lookup away (no interface call,
-// no allocation). Views are shared freely across goroutines.
+// NewCoordinatedProtocol builds pure coordinated checkpointing, the first
+// baseline of the paper's comparison: the whole world is one recovery group,
+// every checkpoint wave is global, nothing is ever logged, and any failure
+// rolls back every rank to the last global wave.
+func NewCoordinatedProtocol(ranks int) *Policy {
+	return &Policy{groupOf: make([]int, ranks)}
+}
+
+// NewFullLogProtocol builds full sender-based message logging, the second
+// baseline: every rank is its own recovery group, so checkpoints are
+// per-process (the waves of different ranks are aligned only by the shared
+// iteration interval), every message is logged at the sender, and a failure
+// rolls back exactly the failed rank, which re-executes against replayed
+// messages.
+func NewFullLogProtocol(ranks int) *Policy {
+	groupOf := make([]int, ranks)
+	for r := range groupOf {
+		groupOf[r] = r
+	}
+	return &Policy{groupOf: groupOf}
+}
+
+// EpochView is the engine's validated, immutable view of one epoch's
+// partition. The engine switches epochs only at checkpoint-wave boundaries
+// (the wave that opens an epoch is its recovery line); a static policy has
+// only epoch 0. Per-send logging decisions are a slice lookup away (no
+// allocation). Views are shared freely across goroutines.
 type EpochView struct {
-	epoch     int
-	groupOf   []int
-	groups    int
-	groupSize []int
-	members   [][]int // group -> world ranks, ascending
-	logs      []bool  // src*size + dst; nil for group-boundary policies
+	epoch   int
+	groupOf []int
+	members [][]int // group -> world ranks, ascending
 }
 
 // Epoch returns the epoch id of the view.
 func (v *EpochView) Epoch() int { return v.epoch }
 
-// GroupOf returns the cached group assignment. The slice is shared and must
-// not be mutated — this is the allocation-free accessor the engine uses on
-// every wave instead of re-calling Policy.GroupOf.
+// GroupOf returns the group assignment. The slice is shared and must not be
+// mutated.
 func (v *EpochView) GroupOf() []int { return v.groupOf }
 
 // Groups returns the number of recovery groups of the epoch.
-func (v *EpochView) Groups() int { return v.groups }
+func (v *EpochView) Groups() int { return len(v.members) }
 
 // GroupSize returns the number of ranks in a group.
-func (v *EpochView) GroupSize(g int) int { return v.groupSize[g] }
+func (v *EpochView) GroupSize(g int) int { return len(v.members[g]) }
 
 // Group returns the recovery group of a rank.
 func (v *EpochView) Group(rank int) int { return v.groupOf[rank] }
@@ -96,243 +90,41 @@ func (v *EpochView) Group(rank int) int { return v.groupOf[rank] }
 // communicator from it instead of running a world-sized CommSplit per rank.
 func (v *EpochView) Members(g int) []int { return v.members[g] }
 
-// Logs reports whether src→dst messages are sender-logged under this epoch.
-// Group-boundary policies carry no dense matrix: the relation is the group
-// comparison itself.
-func (v *EpochView) Logs(src, dst int) bool {
-	if v.logs == nil {
-		return v.groupOf[src] != v.groupOf[dst]
-	}
-	return v.logs[src*len(v.groupOf)+dst]
-}
+// Logs reports whether src→dst messages are sender-logged under this epoch:
+// exactly the messages that cross a group boundary.
+func (v *EpochView) Logs(src, dst int) bool { return v.groupOf[src] != v.groupOf[dst] }
 
-// NewEpochView validates one epoch of a policy against a world size and
-// caches its decisions: one dense, non-negative group id per rank, and a
-// logging relation that covers at least every inter-group channel (recovery
-// replays inter-group messages from the senders' logs, so a policy that
-// fails to log one would lose messages on rollback).
-func NewEpochView(pol Policy, epoch, size int) (*EpochView, error) {
-	if pol == nil {
-		return nil, fmt.Errorf("core: nil policy")
-	}
-	groupOf := pol.GroupOf(epoch)
-	if len(groupOf) != size {
-		return nil, fmt.Errorf("core: policy %s epoch %d assigns %d ranks, world has %d", pol.Name(), epoch, len(groupOf), size)
-	}
+// NewEpochView validates one epoch's partition and caches its groups: one
+// group id per rank, non-negative and dense (every id below the group count
+// names at least one rank). The caller checks the assignment's length
+// against the world.
+func NewEpochView(epoch int, groupOf []int) (*EpochView, error) {
 	groups := 0
 	for r, g := range groupOf {
-		if g < 0 || g >= size {
-			return nil, fmt.Errorf("core: policy %s epoch %d assigns rank %d to invalid group %d", pol.Name(), epoch, r, g)
+		if g < 0 || g >= len(groupOf) {
+			return nil, fmt.Errorf("core: epoch %d assigns rank %d to invalid group %d", epoch, r, g)
 		}
 		if g+1 > groups {
 			groups = g + 1
 		}
 	}
-	v := &EpochView{
-		epoch:     epoch,
-		groupOf:   append([]int(nil), groupOf...),
-		groups:    groups,
-		groupSize: make([]int, groups),
-		members:   make([][]int, groups),
-	}
+	sizes := make([]int, groups)
 	for _, g := range groupOf {
-		v.groupSize[g]++
+		sizes[g]++
 	}
-	for g, n := range v.groupSize {
+	v := &EpochView{
+		epoch:   epoch,
+		groupOf: append([]int(nil), groupOf...),
+		members: make([][]int, groups),
+	}
+	for g, n := range sizes {
 		if n == 0 {
-			return nil, fmt.Errorf("core: policy %s epoch %d leaves group %d empty (ids must be dense)", pol.Name(), epoch, g)
+			return nil, fmt.Errorf("core: epoch %d leaves group %d empty (ids must be dense)", epoch, g)
 		}
 		v.members[g] = make([]int, 0, n)
 	}
 	for r, g := range groupOf {
 		v.members[g] = append(v.members[g], r)
 	}
-
-	boundary, _ := pol.(GroupBoundaryLogger)
-	if boundary != nil && boundary.LogsGroupBoundaryOnly() {
-		// The logging relation is the group comparison; no dense matrix. At
-		// small sizes, cross-check the promise exhaustively so a policy whose
-		// Logs disagrees with its marker is caught by any ordinary test run.
-		if size <= groupBoundaryCheckLimit {
-			for s := 0; s < size; s++ {
-				for d := 0; d < size; d++ {
-					if pol.Logs(epoch, s, d) != (groupOf[s] != groupOf[d]) {
-						return nil, fmt.Errorf("core: policy %s epoch %d claims group-boundary logging but Logs(%d,%d) deviates", pol.Name(), epoch, s, d)
-					}
-				}
-			}
-		}
-		return v, nil
-	}
-
-	v.logs = make([]bool, size*size)
-	for s := 0; s < size; s++ {
-		for d := 0; d < size; d++ {
-			logs := pol.Logs(epoch, s, d)
-			if !logs && s != d && groupOf[s] != groupOf[d] {
-				return nil, fmt.Errorf("core: policy %s epoch %d does not log inter-group channel %d->%d", pol.Name(), epoch, s, d)
-			}
-			v.logs[s*size+d] = logs
-		}
-	}
 	return v, nil
 }
-
-// groupBoundaryCheckLimit is the world size up to which a GroupBoundaryLogger
-// policy's promise is verified against Policy.Logs exhaustively (O(size²)
-// interface calls — cheap at test sizes, prohibitive at 10k+ ranks).
-const groupBoundaryCheckLimit = 256
-
-// SPBCProtocol is the paper's hybrid protocol: recovery groups are the
-// communication-driven clusters, and only inter-cluster messages are logged.
-// A failure rolls back exactly one cluster; messages from other clusters are
-// re-delivered from the senders' logs. The assignment is static: every epoch
-// returns the same partition.
-type SPBCProtocol struct {
-	clusterOf []int
-}
-
-// NewSPBCProtocol builds the hybrid policy from a cluster assignment,
-// typically produced by clustering.Partition from a communication profile.
-func NewSPBCProtocol(clusterOf []int) *SPBCProtocol {
-	return &SPBCProtocol{clusterOf: append([]int(nil), clusterOf...)}
-}
-
-// Name labels the protocol.
-func (s *SPBCProtocol) Name() string { return "spbc" }
-
-// GroupOf returns the cluster assignment (identical in every epoch).
-func (s *SPBCProtocol) GroupOf(epoch int) []int { return append([]int(nil), s.clusterOf...) }
-
-// Logs selects inter-cluster messages.
-func (s *SPBCProtocol) Logs(epoch, src, dst int) bool { return s.clusterOf[src] != s.clusterOf[dst] }
-
-// LogsGroupBoundaryOnly: the logging relation is exactly the cluster boundary.
-func (s *SPBCProtocol) LogsGroupBoundaryOnly() bool { return true }
-
-// CoordinatedProtocol is pure coordinated checkpointing, the first baseline
-// of the paper's comparison: the whole world is one recovery group, every
-// checkpoint wave is global, nothing is ever logged, and any failure rolls
-// back every rank to the last global wave.
-type CoordinatedProtocol struct {
-	ranks int
-}
-
-// NewCoordinatedProtocol builds the coordinated policy for a world size.
-func NewCoordinatedProtocol(ranks int) *CoordinatedProtocol {
-	return &CoordinatedProtocol{ranks: ranks}
-}
-
-// Name labels the protocol.
-func (c *CoordinatedProtocol) Name() string { return "coordinated" }
-
-// GroupOf places every rank in the single global group, in every epoch.
-func (c *CoordinatedProtocol) GroupOf(epoch int) []int { return make([]int, c.ranks) }
-
-// Logs logs nothing: surviving ranks roll back instead of replaying.
-func (c *CoordinatedProtocol) Logs(epoch, src, dst int) bool { return false }
-
-// LogsGroupBoundaryOnly: one global group, so "nothing" and "inter-group
-// only" coincide.
-func (c *CoordinatedProtocol) LogsGroupBoundaryOnly() bool { return true }
-
-// FullLogProtocol is full sender-based message logging, the second baseline:
-// every rank is its own recovery group, so checkpoints are per-process (the
-// waves of different ranks are aligned only by the shared iteration
-// interval), every message is logged at the sender, and a failure rolls back
-// exactly the failed rank, which re-executes against replayed messages.
-type FullLogProtocol struct {
-	ranks int
-}
-
-// NewFullLogProtocol builds the full-logging policy for a world size.
-func NewFullLogProtocol(ranks int) *FullLogProtocol {
-	return &FullLogProtocol{ranks: ranks}
-}
-
-// Name labels the protocol.
-func (f *FullLogProtocol) Name() string { return "full-log" }
-
-// GroupOf places every rank in its own group, in every epoch.
-func (f *FullLogProtocol) GroupOf(epoch int) []int {
-	out := make([]int, f.ranks)
-	for r := range out {
-		out[r] = r
-	}
-	return out
-}
-
-// Logs logs every message (self-channels never occur in the runtime).
-func (f *FullLogProtocol) Logs(epoch, src, dst int) bool { return src != dst }
-
-// LogsGroupBoundaryOnly: singleton groups, so "everything" and "inter-group
-// only" coincide.
-func (f *FullLogProtocol) LogsGroupBoundaryOnly() bool { return true }
-
-// AdaptivePolicy is the epoch-versioned policy behind adaptive clustering:
-// epoch 0 is the seed partition, and the engine's repartitioner pushes a new
-// partition — a new epoch — whenever the live communication profile says the
-// projected logged-volume saving beats the migration cost. Old epochs remain
-// addressable: a checkpoint persists the epoch it was captured under, and
-// recovery replays under that epoch's view.
-type AdaptivePolicy struct {
-	mu    sync.RWMutex
-	parts [][]int // epoch -> cluster assignment
-}
-
-// NewAdaptivePolicy builds the adaptive policy with the given seed partition
-// as epoch 0.
-func NewAdaptivePolicy(seed []int) *AdaptivePolicy {
-	return &AdaptivePolicy{parts: [][]int{append([]int(nil), seed...)}}
-}
-
-// Name labels the protocol.
-func (a *AdaptivePolicy) Name() string { return "spbc-adaptive" }
-
-// Epochs returns the number of epochs defined so far.
-func (a *AdaptivePolicy) Epochs() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return len(a.parts)
-}
-
-// GroupOf returns the cluster assignment of an epoch. Out-of-range epochs
-// return nil (NewEpochView rejects them).
-func (a *AdaptivePolicy) GroupOf(epoch int) []int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if epoch < 0 || epoch >= len(a.parts) {
-		return nil
-	}
-	return append([]int(nil), a.parts[epoch]...)
-}
-
-// Logs selects the inter-cluster messages of the epoch's partition.
-func (a *AdaptivePolicy) Logs(epoch, src, dst int) bool {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if epoch < 0 || epoch >= len(a.parts) {
-		return false
-	}
-	p := a.parts[epoch]
-	return p[src] != p[dst]
-}
-
-// LogsGroupBoundaryOnly: every epoch's relation is exactly that epoch's
-// cluster boundary.
-func (a *AdaptivePolicy) LogsGroupBoundaryOnly() bool { return true }
-
-// Push appends a new partition and returns its epoch id.
-func (a *AdaptivePolicy) Push(clusterOf []int) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.parts = append(a.parts, append([]int(nil), clusterOf...))
-	return len(a.parts) - 1
-}
-
-var (
-	_ Policy = (*SPBCProtocol)(nil)
-	_ Policy = (*CoordinatedProtocol)(nil)
-	_ Policy = (*FullLogProtocol)(nil)
-	_ Policy = (*AdaptivePolicy)(nil)
-)

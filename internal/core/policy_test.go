@@ -8,95 +8,61 @@ import (
 	"repro/internal/checkpoint"
 )
 
+// TestPolicyShapes pins each constructor's partition and the logging
+// relation derived from it, over every (src, dst) pair of a 4-rank world.
 func TestPolicyShapes(t *testing.T) {
-	spbc := NewSPBCProtocol([]int{0, 0, 1, 1})
-	if spbc.Name() != "spbc" {
-		t.Fatalf("spbc name = %q", spbc.Name())
-	}
-	// Static policies answer identically in every epoch.
-	for _, epoch := range []int{0, 3} {
-		if got := spbc.GroupOf(epoch); !reflect.DeepEqual(got, []int{0, 0, 1, 1}) {
-			t.Fatalf("spbc groups (epoch %d) = %v", epoch, got)
+	for _, tc := range []struct {
+		name    string
+		pol     *Policy
+		groupOf []int
+		logs    func(src, dst int) bool
+	}{
+		// The hybrid logs exactly the inter-cluster messages.
+		{"spbc", NewSPBCProtocol([]int{0, 0, 1, 1}), []int{0, 0, 1, 1},
+			func(src, dst int) bool { return src/2 != dst/2 }},
+		// Coordinated checkpointing is one global group and logs nothing.
+		{"coordinated", NewCoordinatedProtocol(4), []int{0, 0, 0, 0},
+			func(int, int) bool { return false }},
+		// Full logging is one group per rank and logs every message.
+		{"full-log", NewFullLogProtocol(4), []int{0, 1, 2, 3},
+			func(src, dst int) bool { return src != dst }},
+	} {
+		v, err := NewEpochView(0, tc.pol.groupOf)
+		if err != nil {
+			t.Fatalf("%s: NewEpochView: %v", tc.name, err)
 		}
-		if spbc.Logs(epoch, 0, 1) || !spbc.Logs(epoch, 1, 2) {
-			t.Fatalf("spbc must log exactly the inter-cluster messages")
+		if !reflect.DeepEqual(v.GroupOf(), tc.groupOf) {
+			t.Fatalf("%s groups = %v, want %v", tc.name, v.GroupOf(), tc.groupOf)
 		}
-	}
-
-	coord := NewCoordinatedProtocol(4)
-	if got := coord.GroupOf(0); !reflect.DeepEqual(got, []int{0, 0, 0, 0}) {
-		t.Fatalf("coordinated groups = %v", got)
-	}
-	for s := 0; s < 4; s++ {
-		for d := 0; d < 4; d++ {
-			if coord.Logs(0, s, d) {
-				t.Fatalf("coordinated checkpointing must log nothing, logs %d->%d", s, d)
+		for src := 0; src < 4; src++ {
+			for dst := 0; dst < 4; dst++ {
+				if got, want := v.Logs(src, dst), tc.logs(src, dst); got != want {
+					t.Fatalf("%s Logs(%d, %d) = %v, want %v", tc.name, src, dst, got, want)
+				}
 			}
 		}
-	}
-
-	full := NewFullLogProtocol(4)
-	if got := full.GroupOf(0); !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
-		t.Fatalf("full-log groups = %v", got)
-	}
-	if !full.Logs(0, 0, 3) || !full.Logs(0, 2, 1) {
-		t.Fatalf("full logging must log every message")
-	}
-}
-
-func TestAdaptivePolicyEpochs(t *testing.T) {
-	pol := NewAdaptivePolicy([]int{0, 0, 1, 1})
-	if pol.Name() != "spbc-adaptive" {
-		t.Fatalf("name = %q", pol.Name())
-	}
-	if pol.Epochs() != 1 {
-		t.Fatalf("fresh adaptive policy has %d epochs, want 1", pol.Epochs())
-	}
-	e1 := pol.Push([]int{0, 1, 0, 1})
-	if e1 != 1 || pol.Epochs() != 2 {
-		t.Fatalf("push returned epoch %d (epochs %d), want 1 (2)", e1, pol.Epochs())
-	}
-	// Old epochs remain addressable with their original partitions.
-	if got := pol.GroupOf(0); !reflect.DeepEqual(got, []int{0, 0, 1, 1}) {
-		t.Fatalf("epoch 0 groups = %v", got)
-	}
-	if got := pol.GroupOf(1); !reflect.DeepEqual(got, []int{0, 1, 0, 1}) {
-		t.Fatalf("epoch 1 groups = %v", got)
-	}
-	if pol.Logs(0, 0, 1) || !pol.Logs(1, 0, 1) {
-		t.Fatalf("per-epoch logging must follow the epoch's partition")
-	}
-	if pol.GroupOf(7) != nil {
-		t.Fatalf("out-of-range epoch must return nil")
 	}
 }
 
 func TestNewEpochView(t *testing.T) {
-	if _, err := NewEpochView(nil, 0, 2); err == nil {
-		t.Fatalf("nil policy accepted")
-	}
-	if _, err := NewEpochView(NewSPBCProtocol([]int{0}), 0, 2); err == nil {
-		t.Fatalf("short assignment accepted")
-	}
-	if _, err := NewEpochView(NewSPBCProtocol([]int{0, -1}), 0, 2); err == nil {
+	if _, err := NewEpochView(0, []int{0, -1}); err == nil {
 		t.Fatalf("negative group accepted")
 	}
-	if _, err := NewEpochView(NewSPBCProtocol([]int{0, 7}), 0, 2); err == nil {
+	if _, err := NewEpochView(0, []int{0, 7}); err == nil {
 		t.Fatalf("out-of-range group accepted")
 	}
-	if _, err := NewEpochView(NewSPBCProtocol([]int{0, 2, 2}), 0, 3); err == nil {
+	if _, err := NewEpochView(0, []int{0, 2, 2}); err == nil {
 		t.Fatalf("sparse group ids accepted")
 	}
-	if _, err := NewEpochView(NewFullLogProtocol(3), 0, 3); err != nil {
-		t.Fatalf("full-log policy rejected: %v", err)
-	}
-	// The cached view answers without calling back into the policy.
-	v, err := NewEpochView(NewSPBCProtocol([]int{0, 0, 1, 1}), 0, 4)
+	v, err := NewEpochView(3, []int{0, 0, 1, 1})
 	if err != nil {
 		t.Fatalf("NewEpochView: %v", err)
 	}
-	if v.Epoch() != 0 || v.Groups() != 2 || v.Group(2) != 1 || v.GroupSize(0) != 2 {
+	if v.Epoch() != 3 || v.Groups() != 2 || v.Group(2) != 1 || v.GroupSize(0) != 2 {
 		t.Fatalf("view shape wrong: %+v", v)
+	}
+	if !reflect.DeepEqual(v.Members(1), []int{2, 3}) {
+		t.Fatalf("view members = %v", v.Members(1))
 	}
 	if v.Logs(0, 1) || !v.Logs(0, 2) {
 		t.Fatalf("view logging relation wrong")
@@ -106,33 +72,23 @@ func TestNewEpochView(t *testing.T) {
 	}
 }
 
-// underLoggingPolicy violates the replay invariant: inter-group messages are
-// not logged.
-type underLoggingPolicy struct{}
-
-func (underLoggingPolicy) Name() string              { return "under-logging" }
-func (underLoggingPolicy) GroupOf(epoch int) []int   { return []int{0, 1} }
-func (underLoggingPolicy) Logs(epoch, s, d int) bool { return false }
-
-func TestNewEpochViewRejectsUnderLogging(t *testing.T) {
-	if _, err := NewEpochView(underLoggingPolicy{}, 0, 2); err == nil {
-		t.Fatalf("policy that skips inter-group logging accepted: recovery could not replay")
-	}
-}
-
 func TestConfigPolicyResolution(t *testing.T) {
-	if _, err := (&Config{}).policy(); err == nil {
+	if _, err := (&Config{}).seed(); err == nil {
 		t.Fatalf("config without policy accepted")
 	}
-	if _, err := (&Config{Policy: NewCoordinatedProtocol(2), ClusterOf: []int{0, 0}}).policy(); err == nil {
-		t.Fatalf("config with both Policy and ClusterOf accepted")
+	both := &Config{Policy: NewCoordinatedProtocol(2), Adaptive: &AdaptiveConfig{Seed: []int{0, 0}}, Interval: 1}
+	if _, err := both.seed(); err == nil {
+		t.Fatalf("config with both Policy and Adaptive accepted")
 	}
-	pol, err := (&Config{ClusterOf: []int{0, 0, 1}}).policy()
+	seed, err := (&Config{Policy: NewSPBCProtocol([]int{0, 0, 1})}).seed()
 	if err != nil {
-		t.Fatalf("ClusterOf shortcut: %v", err)
+		t.Fatalf("static policy: %v", err)
 	}
-	if _, ok := pol.(*SPBCProtocol); !ok {
-		t.Fatalf("ClusterOf shortcut resolved to %T, want *SPBCProtocol", pol)
+	if !reflect.DeepEqual(seed, []int{0, 0, 1}) {
+		t.Fatalf("static policy resolved to %v, want its partition", seed)
+	}
+	if _, _, err := (&Config{Policy: NewSPBCProtocol([]int{0}), Steps: 1}).resolve(2); err == nil {
+		t.Fatalf("assignment shorter than the world accepted")
 	}
 }
 

@@ -25,11 +25,11 @@ func runSPBCWithShards(t *testing.T, shards, ranks int) ([]float64, *trace.Recor
 		t.Fatalf("NewWorld: %v", err)
 	}
 	eng, err := NewEngine(w, Config{
-		ClusterOf: clusterOf,
-		Interval:  3,
-		Steps:     10,
-		Storage:   checkpoint.NewMemoryStorage(),
-		Faults:    []Fault{{Rank: 3, Iteration: 5}, {Rank: ranks - 1, Iteration: 8}},
+		Policy:   NewSPBCProtocol(clusterOf),
+		Interval: 3,
+		Steps:    10,
+		Storage:  checkpoint.NewMemoryStorage(),
+		Faults:   []Fault{{Rank: 3, Iteration: 5}, {Rank: ranks - 1, Iteration: 8}},
 	})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)

@@ -13,23 +13,24 @@ import (
 
 // SPBC is the per-rank runtime state of the paper's modified-MPICH layer. It
 // implements mpi.Protocol: identifier stamping and matching, sender-based
-// logging of the messages its Policy selects, and send suppression during
-// recovery re-execution.
+// logging of the messages that cross a recovery-group boundary, and send
+// suppression during recovery re-execution.
 //
-// The runtime layer is shared by every Policy: under SPBCProtocol it logs
-// inter-cluster messages (the hybrid of the paper), under FullLogProtocol it
-// degenerates to classic full sender-based logging, and under
-// CoordinatedProtocol it logs nothing and only the identifier machinery
-// remains active (harmless for deterministic SPMD codes).
+// The runtime layer is shared by every Policy: with clusters
+// (NewSPBCProtocol) it logs inter-cluster messages (the hybrid of the paper),
+// with singleton groups (NewFullLogProtocol) it degenerates to classic full
+// sender-based logging, and with one global group (NewCoordinatedProtocol) it
+// logs nothing and only the identifier machinery remains active (harmless
+// for deterministic SPMD codes).
 //
 // All methods are called from the owning rank's goroutine (the mpi.Protocol
 // contract), so the pattern and cutoff state needs no locking; the log store
 // has its own synchronization because replay daemons read it concurrently.
 //
-// The runtime holds the engine's cached EpochView of the active epoch rather
-// than the Policy interface: per-send logging decisions are a slice lookup,
-// never an interface call, and an epoch switch installs the next view from
-// the rank's own goroutine at the wave boundary that opens the epoch.
+// The runtime holds the engine's EpochView of the active epoch: per-send
+// logging decisions are a slice lookup, and an epoch switch installs the
+// next view from the rank's own goroutine at the wave boundary that opens
+// the epoch.
 type SPBC struct {
 	rank int
 	view *EpochView
@@ -57,13 +58,13 @@ type SPBC struct {
 	cutoffs map[mpi.ChanKey]uint64
 }
 
-// NewSPBC creates the runtime state for one rank under the policy's epoch-0
-// view. pol decides which messages are sender-logged; log receives their
-// payloads. It panics on a policy that fails validation — benchmarks and
-// tests construct runtimes directly from known-good policies; the engine
-// builds views itself and uses newSPBCWithView.
-func NewSPBC(rank int, pol Policy, cost simnet.CostModel, log *logstore.Store) *SPBC {
-	view, err := NewEpochView(pol, 0, len(pol.GroupOf(0)))
+// NewSPBC creates the runtime state for one rank under the policy's
+// partition; log receives the payloads of the inter-group messages. It
+// panics on a partition that fails validation — benchmarks and tests
+// construct runtimes directly from known-good policies; the engine builds
+// views itself and uses newSPBCWithView.
+func NewSPBC(rank int, pol *Policy, cost simnet.CostModel, log *logstore.Store) *SPBC {
+	view, err := NewEpochView(0, pol.groupOf)
 	if err != nil {
 		panic(err)
 	}

@@ -38,7 +38,9 @@ func TestAdaptiveEquivalenceAcrossEpochSwitch(t *testing.T) {
 	recNative := trace.NewRecorder(base.Ranks)
 	nat := base
 	nat.ClusterOf = nil
-	native, err := Run(nat, WithProtocol(ProtocolNative), WithRecorder(recNative))
+	nat.Protocol = ProtocolNative
+	nat.Recorder = recNative
+	native, err := Run(nat)
 	if err != nil {
 		t.Fatalf("native: %v", err)
 	}
@@ -47,10 +49,11 @@ func TestAdaptiveEquivalenceAcrossEpochSwitch(t *testing.T) {
 	// opens with the wave at iteration 4; the fault at iteration 5 lands in
 	// the first interval of the new epoch.
 	rec := trace.NewRecorder(base.Ranks)
-	rep, err := Run(base,
-		WithAdaptiveClustering(AdaptiveOptions{}),
-		WithFaults(core.Fault{Rank: 0, Iteration: 5}),
-		WithRecorder(rec))
+	adapt := base
+	adapt.Protocol = ProtocolSPBCAdaptive
+	adapt.Faults = []core.Fault{{Rank: 0, Iteration: 5}}
+	adapt.Recorder = rec
+	rep, err := Run(adapt)
 	if err != nil {
 		t.Fatalf("adaptive run: %v", err)
 	}
@@ -92,15 +95,18 @@ func TestAdaptiveBeatsStaticOnPhaseShift(t *testing.T) {
 
 	nat := base
 	nat.ClusterOf = nil
-	native, err := Run(nat, WithProtocol(ProtocolNative))
+	nat.Protocol = ProtocolNative
+	native, err := Run(nat)
 	if err != nil {
 		t.Fatalf("native: %v", err)
 	}
-	static, err := Run(base, WithProtocol(ProtocolSPBC))
+	base.Protocol = ProtocolSPBC
+	static, err := Run(base)
 	if err != nil {
 		t.Fatalf("static: %v", err)
 	}
-	adaptive, err := Run(base, WithAdaptiveClustering(AdaptiveOptions{}))
+	base.Protocol = ProtocolSPBCAdaptive
+	adaptive, err := Run(base)
 	if err != nil {
 		t.Fatalf("adaptive: %v", err)
 	}
@@ -145,11 +151,13 @@ func TestAdaptiveConvergesOnStableKernels(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			base := tc.factory()
 			base.CheckpointInterval = 4
-			static, err := Run(base, WithProtocol(ProtocolSPBC))
+			base.Protocol = ProtocolSPBC
+			static, err := Run(base)
 			if err != nil {
 				t.Fatalf("static: %v", err)
 			}
-			adaptive, err := Run(base, WithAdaptiveClustering(AdaptiveOptions{}))
+			base.Protocol = ProtocolSPBCAdaptive
+			adaptive, err := Run(base)
 			if err != nil {
 				t.Fatalf("adaptive: %v", err)
 			}
@@ -176,14 +184,16 @@ func TestAdaptiveScenarioValidation(t *testing.T) {
 	// Adaptive options under a non-adaptive protocol are rejected.
 	bad := baseScenario()
 	bad.Adaptive = &AdaptiveOptions{}
-	if _, err := Run(bad, WithProtocol(ProtocolSPBC)); err == nil {
+	bad.Protocol = ProtocolSPBC
+	if _, err := Run(bad); err == nil {
 		t.Fatalf("adaptive options under %s accepted", ProtocolSPBC)
 	}
 	// The adaptive protocol defaults its checkpoint interval (epochs need
 	// waves) and reports the preset seed as epoch 0.
 	sc := phaseScenario(8)
 	sc.CheckpointInterval = 0
-	rep, err := Run(sc, WithAdaptiveClustering(AdaptiveOptions{}))
+	sc.Protocol = ProtocolSPBCAdaptive
+	rep, err := Run(sc)
 	if err != nil {
 		t.Fatalf("adaptive without explicit interval: %v", err)
 	}

@@ -48,9 +48,10 @@ func TestDerivedClocksMatchOnlineClocks(t *testing.T) {
 		{"phase-shift/adaptive", app.NewPhaseShift(32, 2), ProtocolSPBCAdaptive, 1152, 0x2084dcfbf722bb65},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sc := Scenario{Name: tc.name, App: tc.app, Ranks: 16, RanksPerNode: 2, Steps: 12}
-			rec := trace.NewRecorder(sc.Ranks)
-			if _, err := Run(sc, WithProtocol(tc.proto), WithCheckpointInterval(4), WithRecorder(rec)); err != nil {
+			rec := trace.NewRecorder(16)
+			sc := Scenario{Name: tc.name, App: tc.app, Ranks: 16, RanksPerNode: 2, Steps: 12,
+				Protocol: tc.proto, CheckpointInterval: 4, Recorder: rec}
+			if _, err := Run(sc); err != nil {
 				t.Fatal(err)
 			}
 			if got := rec.TotalEvents(); got != tc.events {
@@ -69,7 +70,10 @@ func TestDerivedClocksMatchOnlineClocks(t *testing.T) {
 func TestClocksRejectRecoveredRun(t *testing.T) {
 	sc := baseScenario()
 	rec := trace.NewRecorder(sc.Ranks)
-	if _, err := Run(sc, WithCheckpointInterval(4), WithFaults(core.Fault{Rank: 1, Iteration: 6}), WithRecorder(rec)); err != nil {
+	sc.CheckpointInterval = 4
+	sc.Faults = []core.Fault{{Rank: 1, Iteration: 6}}
+	sc.Recorder = rec
+	if _, err := Run(sc); err != nil {
 		t.Fatal(err)
 	}
 	_, err := trace.ComputeAlwaysHappensBefore(rec)

@@ -89,18 +89,22 @@ func TestProtocolEquivalenceStress(t *testing.T) {
 		}
 
 		recNative := trace.NewRecorder(ranks)
-		native, err := Run(base, WithProtocol(ProtocolNative), WithRecorder(recNative))
+		nat := base
+		nat.Protocol = ProtocolNative
+		nat.Recorder = recNative
+		native, err := Run(nat)
 		if err != nil {
 			t.Fatalf("case %d (%s): native: %v", i, kernel, err)
 		}
 
 		for _, proto := range protectedProtocols() {
 			rec := trace.NewRecorder(ranks)
-			rep, err := Run(base,
-				WithProtocol(proto),
-				WithCheckpointInterval(interval),
-				WithFaults(faults...),
-				WithRecorder(rec))
+			sc := base
+			sc.Protocol = proto
+			sc.CheckpointInterval = interval
+			sc.Faults = faults
+			sc.Recorder = rec
+			rep, err := Run(sc)
 			if err != nil {
 				t.Fatalf("case %d (%s, ranks=%d steps=%d faults=%v): %s: %v",
 					i, kernel, ranks, steps, faults, proto, err)
@@ -126,7 +130,9 @@ func TestRecoveryScopeByProtocol(t *testing.T) {
 	base.Steps = steps
 	fault := core.Fault{Rank: failed, Iteration: 6} // rolls back to the wave at 4
 
-	native, err := Run(base, WithProtocol(ProtocolNative))
+	nat := base
+	nat.Protocol = ProtocolNative
+	native, err := Run(nat)
 	if err != nil {
 		t.Fatalf("native: %v", err)
 	}
@@ -149,11 +155,12 @@ func TestRecoveryScopeByProtocol(t *testing.T) {
 	} {
 		t.Run(string(tc.proto), func(t *testing.T) {
 			rec := trace.NewRecorder(ranks)
-			rep, err := Run(base,
-				WithProtocol(tc.proto),
-				WithCheckpointInterval(4),
-				WithFaults(fault),
-				WithRecorder(rec))
+			sc := base
+			sc.Protocol = tc.proto
+			sc.CheckpointInterval = 4
+			sc.Faults = []core.Fault{fault}
+			sc.Recorder = rec
+			rep, err := Run(sc)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -204,11 +211,15 @@ func TestPresetClusterAssignment(t *testing.T) {
 	base := baseScenario()
 	base.ClusterOf = preset
 
-	native, err := Run(baseScenario(), WithProtocol(ProtocolNative))
+	nat := baseScenario()
+	nat.Protocol = ProtocolNative
+	native, err := Run(nat)
 	if err != nil {
 		t.Fatalf("native: %v", err)
 	}
-	rep, err := Run(base, WithCheckpointInterval(4), WithFaults(core.Fault{Rank: 2, Iteration: 6}))
+	base.CheckpointInterval = 4
+	base.Faults = []core.Fault{{Rank: 2, Iteration: 6}}
+	rep, err := Run(base)
 	if err != nil {
 		t.Fatalf("run with preset assignment: %v", err)
 	}
@@ -229,7 +240,8 @@ func TestPresetClusterAssignment(t *testing.T) {
 	}
 	bad = baseScenario()
 	bad.ClusterOf = preset
-	if _, err := Run(bad, WithProtocol(ProtocolCoordinated)); err == nil {
+	bad.Protocol = ProtocolCoordinated
+	if _, err := Run(bad); err == nil {
 		t.Fatalf("cluster assignment under a non-SPBC protocol accepted")
 	}
 }
@@ -241,8 +253,10 @@ func TestProtocolLoggingExtremes(t *testing.T) {
 	base := baseScenario()
 	var logged = map[Protocol]uint64{}
 	var sent = map[Protocol]uint64{}
+	base.CheckpointInterval = 5
 	for _, proto := range protectedProtocols() {
-		rep, err := Run(base, WithProtocol(proto), WithCheckpointInterval(5))
+		base.Protocol = proto
+		rep, err := Run(base)
 		if err != nil {
 			t.Fatalf("%s: %v", proto, err)
 		}

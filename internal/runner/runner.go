@@ -10,16 +10,17 @@
 //   - ProtocolNative: bare mpi runtime (mpi.NopProtocol), no checkpointing —
 //     the baseline the paper normalizes against;
 //   - ProtocolCoordinated: pure coordinated checkpointing
-//     (core.CoordinatedProtocol) — global checkpoint waves, no logging,
-//     full-world rollback on any failure;
+//     (core.NewCoordinatedProtocol, one global group) — global checkpoint
+//     waves, no logging, full-world rollback on any failure;
 //   - ProtocolFullLog: full sender-based message logging
-//     (core.FullLogProtocol) — every message logged, per-process
-//     checkpointing, single-rank rollback;
-//   - ProtocolSPBC: the paper's hybrid (core.SPBCProtocol) — profile-driven
-//     clustering, coordinated per-cluster checkpoints, sender-based
-//     inter-cluster logging, and cluster-local recovery;
+//     (core.NewFullLogProtocol, one group per rank) — every message logged,
+//     per-process checkpointing, single-rank rollback;
+//   - ProtocolSPBC: the paper's hybrid (core.NewSPBCProtocol, one group per
+//     cluster) — profile-driven clustering, coordinated per-cluster
+//     checkpoints, sender-based inter-cluster logging, and cluster-local
+//     recovery;
 //   - ProtocolSPBCAdaptive: the hybrid with adaptive epoch-based clustering
-//     (core.AdaptivePolicy) — the partition is re-evaluated from the live
+//     (core.Config.Adaptive) — the partition is re-evaluated from the live
 //     communication profile at every checkpoint-wave boundary and migrates
 //     when the projected logged-byte saving clears a hysteresis threshold.
 //
@@ -153,49 +154,6 @@ type AdaptiveOptions struct {
 	Hysteresis clustering.Hysteresis
 }
 
-// Option mutates a Scenario before it runs, mirroring mpi.Option.
-type Option func(*Scenario)
-
-// WithProtocol selects the runtime protocol.
-func WithProtocol(p Protocol) Option { return func(s *Scenario) { s.Protocol = p } }
-
-// WithCostModel replaces the cost model.
-func WithCostModel(c simnet.CostModel) Option { return func(s *Scenario) { s.Cost = &c } }
-
-// WithClusters sets the SPBC cluster count.
-func WithClusters(k int) Option { return func(s *Scenario) { s.Clusters = k } }
-
-// WithCheckpointInterval sets the coordinated-checkpoint period.
-func WithCheckpointInterval(n int) Option { return func(s *Scenario) { s.CheckpointInterval = n } }
-
-// WithFaults appends to the fault plan.
-func WithFaults(faults ...core.Fault) Option {
-	return func(s *Scenario) { s.Faults = append(s.Faults, faults...) }
-}
-
-// WithObjective sets the clustering objective.
-func WithObjective(o clustering.Objective) Option { return func(s *Scenario) { s.Objective = o } }
-
-// WithAdaptiveClustering selects ProtocolSPBCAdaptive with the given tuning:
-// the cluster assignment starts from the profiling pre-run's partition (or
-// Scenario.ClusterOf when preset) and repartitions at wave boundaries
-// whenever the live profile clears the hysteresis thresholds.
-func WithAdaptiveClustering(o AdaptiveOptions) Option {
-	return func(s *Scenario) {
-		s.Protocol = ProtocolSPBCAdaptive
-		s.Adaptive = &o
-	}
-}
-
-// WithStorage sets the checkpoint storage back-end.
-func WithStorage(st checkpoint.Storage) Option { return func(s *Scenario) { s.Storage = st } }
-
-// WithRecorder attaches a trace recorder to the measured world.
-func WithRecorder(r *trace.Recorder) Option { return func(s *Scenario) { s.Recorder = r } }
-
-// WithChaos attaches chaos instrumentation to the scenario.
-func WithChaos(spec ChaosSpec) Option { return func(s *Scenario) { s.Chaos = &spec } }
-
 // normalize applies defaults and validates the scenario.
 func (s *Scenario) normalize() error {
 	if s.App == nil {
@@ -271,10 +229,7 @@ func (s *Scenario) normalize() error {
 }
 
 // Run executes the scenario and returns its report.
-func Run(sc Scenario, opts ...Option) (*Report, error) {
-	for _, o := range opts {
-		o(&sc)
-	}
+func Run(sc Scenario) (*Report, error) {
 	if err := sc.normalize(); err != nil {
 		return nil, err
 	}

@@ -22,11 +22,15 @@ func baseScenario() Scenario {
 }
 
 func TestRunNativeVsSPBCSameResults(t *testing.T) {
-	native, err := Run(baseScenario(), WithProtocol(ProtocolNative))
+	sc := baseScenario()
+	sc.Protocol = ProtocolNative
+	native, err := Run(sc)
 	if err != nil {
 		t.Fatalf("native run: %v", err)
 	}
-	spbc, err := Run(baseScenario(), WithProtocol(ProtocolSPBC), WithCheckpointInterval(5))
+	sc.Protocol = ProtocolSPBC
+	sc.CheckpointInterval = 5
+	spbc, err := Run(sc)
 	if err != nil {
 		t.Fatalf("spbc run: %v", err)
 	}
@@ -59,13 +63,14 @@ func TestRunNativeVsSPBCSameResults(t *testing.T) {
 }
 
 func TestRunFaultScenarioRecovers(t *testing.T) {
-	ff, err := Run(baseScenario(), WithCheckpointInterval(4))
+	sc := baseScenario()
+	sc.CheckpointInterval = 4
+	ff, err := Run(sc)
 	if err != nil {
 		t.Fatalf("failure-free run: %v", err)
 	}
-	faulty, err := Run(baseScenario(),
-		WithCheckpointInterval(4),
-		WithFaults(core.Fault{Rank: 1, Iteration: 6}))
+	sc.Faults = []core.Fault{{Rank: 1, Iteration: 6}}
+	faulty, err := Run(sc)
 	if err != nil {
 		t.Fatalf("faulty run: %v", err)
 	}
@@ -91,9 +96,10 @@ func TestRunFaultScenarioRecovers(t *testing.T) {
 }
 
 func TestRunReportJSONRoundTrip(t *testing.T) {
-	rep, err := Run(baseScenario(),
-		WithCheckpointInterval(5),
-		WithFaults(core.Fault{Rank: 7, Iteration: 7}))
+	sc := baseScenario()
+	sc.CheckpointInterval = 5
+	sc.Faults = []core.Fault{{Rank: 7, Iteration: 7}}
+	rep, err := Run(sc)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -120,7 +126,9 @@ func TestRunReportJSONRoundTrip(t *testing.T) {
 func TestRunWithRecorderExposesTrace(t *testing.T) {
 	sc := baseScenario()
 	rec := trace.NewRecorder(sc.Ranks)
-	if _, err := Run(sc, WithRecorder(rec), WithCheckpointInterval(5)); err != nil {
+	sc.Recorder = rec
+	sc.CheckpointInterval = 5
+	if _, err := Run(sc); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if rec.TotalEvents() == 0 {
@@ -139,22 +147,29 @@ func TestScenarioValidation(t *testing.T) {
 			t.Fatalf("case %d: invalid scenario accepted", i)
 		}
 	}
-	if _, err := Run(baseScenario(), WithProtocol(ProtocolNative),
-		WithFaults(core.Fault{Rank: 0, Iteration: 1})); err == nil {
+	sc := baseScenario()
+	sc.Protocol = ProtocolNative
+	sc.Faults = []core.Fault{{Rank: 0, Iteration: 1}}
+	if _, err := Run(sc); err == nil {
 		t.Fatalf("native protocol with faults must be rejected")
 	}
-	if _, err := Run(baseScenario(), WithProtocol("bogus")); err == nil {
+	sc = baseScenario()
+	sc.Protocol = "bogus"
+	if _, err := Run(sc); err == nil {
 		t.Fatalf("unknown protocol must be rejected")
 	}
 }
 
 func TestRunSolverUnderBothProtocols(t *testing.T) {
 	sc := Scenario{App: app.NewSolver(16), Ranks: 4, Steps: 8}
-	native, err := Run(sc, WithProtocol(ProtocolNative))
+	sc.Protocol = ProtocolNative
+	native, err := Run(sc)
 	if err != nil {
 		t.Fatalf("native: %v", err)
 	}
-	spbc, err := Run(sc, WithClusters(2), WithCheckpointInterval(4))
+	sc.Protocol = ProtocolSPBC
+	sc.Clusters, sc.CheckpointInterval = 2, 4
+	spbc, err := Run(sc)
 	if err != nil {
 		t.Fatalf("spbc: %v", err)
 	}
