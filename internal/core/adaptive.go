@@ -248,8 +248,9 @@ func (a *adaptive) decideLocked(iter int) (*EpochView, error) {
 		return nil, fmt.Errorf("core: adaptive repartition at iteration %d: %w", iter, err)
 	}
 	// All ranks are parked at the decision gate, so this single goroutine can
-	// intern the new epoch's cluster comms deterministically; the switching
-	// ranks then resolve them by lookup, with no world-sized CommSplit.
+	// intern the new epoch's cluster comms deterministically into the view;
+	// the switching ranks then read them from it, with no world-sized
+	// CommSplit.
 	if err := internClusterComms(a.e.world, v); err != nil {
 		return nil, fmt.Errorf("core: adaptive repartition at iteration %d: %w", iter, err)
 	}

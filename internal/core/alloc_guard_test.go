@@ -8,6 +8,7 @@ import (
 	"repro/internal/buf"
 	"repro/internal/logstore"
 	"repro/internal/mpi"
+	"repro/internal/simnet"
 )
 
 // Allocation-regression guards on the steady-state eager send path. The
@@ -111,14 +112,22 @@ func TestAllocGuardTracedSend(t *testing.T) {
 }
 
 // TestAllocGuardEpochView pins the cached-view invariant: the engine
-// validates each epoch once into an EpochView, and every subsequent group or
-// logging lookup — the per-send Logs check and the per-wave GroupOf access —
-// is a slice read with zero allocations. A view that copied the partition per
-// call would trip this instantly.
+// validates each epoch once into an EpochView, and every subsequent group,
+// logging or communicator lookup — the per-send Logs check, the per-wave
+// GroupOf access, a rank's cluster comm — is a slice read with zero
+// allocations. A view that copied the partition per call, or re-interned a
+// comm per rank, would trip this instantly.
 func TestAllocGuardEpochView(t *testing.T) {
 	view, err := NewEpochView(0, []int{0, 0, 1, 1, 2, 2, 3, 3})
 	if err != nil {
 		t.Fatalf("NewEpochView: %v", err)
+	}
+	w, err := mpi.NewWorld(8, simnet.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := internClusterComms(w, view); err != nil {
+		t.Fatalf("internClusterComms: %v", err)
 	}
 	sink := false
 	sum := 0
@@ -130,6 +139,9 @@ func TestAllocGuardEpochView(t *testing.T) {
 		}
 		groupOf := view.GroupOf()
 		sum += groupOf[3] + view.Group(5) + view.GroupSize(view.Groups()-1)
+		for g := 0; g < view.Groups(); g++ {
+			sum += view.Comm(g).Size()
+		}
 	})
 	if perOp != 0 {
 		t.Errorf("cached epoch view allocates %.1f objects per access batch, want 0: "+
@@ -165,5 +177,66 @@ func TestBufferPoolRecyclesOnEagerPath(t *testing.T) {
 	}
 	if missed*10 > gets {
 		t.Errorf("pool misses %d out of %d gets: steady state should recycle (>90%% hits)", missed, gets)
+	}
+}
+
+// TestAllocGuardCollectives pins the allocation-free collective path. Every
+// collective fragment is a point-to-point round of the same runtime, so once
+// the per-rank state is warm — the channels, the match-index rings, the
+// internal request free list and the float64 scratch — a steady-state
+// AllreduceF64 or Barrier allocates nothing per rank: both measure 0.005 to
+// 0.01 (World.Run's own cost does not cancel exactly), and the ceiling sits
+// just above that. Before the collective path was made allocation-free it
+// measured about 14 objects per rank per allreduce and 24 per barrier here:
+// a fresh request per fragment, fresh working vectors per reduction, and a
+// match-index key per peer per invocation that was never dropped.
+func TestAllocGuardCollectives(t *testing.T) {
+	skipAllocGuardUnderRace(t)
+	const ranks, rounds, ceiling = 64, 50, 0.1
+	w, err := mpi.NewWorld(ranks, simnet.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := NewCoordinatedProtocol(ranks)
+	for r := 0; r < ranks; r++ {
+		w.Proc(r).SetProtocol(NewSPBC(r, pol, w.Cost(), logstore.New()))
+	}
+	send := []float64{1, 2, 3, 4}
+	recv := make([][]float64, ranks) // per rank: ranks run concurrently
+	for r := range recv {
+		recv[r] = make([]float64, len(send))
+	}
+	ops := []struct {
+		name string
+		op   func(p *mpi.Proc) error
+	}{
+		{"AllreduceF64", func(p *mpi.Proc) error { return p.AllreduceF64(send, recv[p.Rank()], mpi.OpSum, nil) }},
+		{"Barrier", func(p *mpi.Proc) error { return p.Barrier(nil) }},
+	}
+	for _, o := range ops {
+		// allocs is one world run of n invocations on every rank; the
+		// difference of two run lengths cancels World.Run's fixed cost.
+		allocs := func(n int) float64 {
+			return testing.AllocsPerRun(3, func() {
+				err := w.Run(func(p *mpi.Proc) error {
+					for i := 0; i < n; i++ {
+						if err := o.op(p); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		allocs(rounds) // warm every rank's channels, rings, free list and scratch
+		got := (allocs(rounds) - allocs(0)) / (rounds * ranks)
+		t.Logf("%s: %.3f allocs per rank per call on %d ranks", o.name, got, ranks)
+		if got > ceiling {
+			t.Errorf("%s allocates %.2f objects per rank per call, want <= %.1f: "+
+				"a per-fragment request, working vector or match-index key is back", o.name, got, ceiling)
+		}
 	}
 }

@@ -260,9 +260,9 @@ func NewEngine(w *mpi.World, cfg Config) (*Engine, error) {
 		verify:    make([]float64, w.Size()),
 	}
 	// Intern the epoch's cluster communicators once, in group order, from
-	// this single goroutine: every rank then resolves its comm with a cache
-	// hit instead of a world-sized CommSplit allgather (O(world²) traffic at
-	// init), and comm ids are deterministic across runs.
+	// this single goroutine: every rank then reads its comm from the view
+	// instead of running a world-sized CommSplit allgather (O(world²) traffic
+	// at init), and comm ids are deterministic across runs.
 	if err := internClusterComms(w, view); err != nil {
 		return nil, err
 	}
@@ -397,21 +397,20 @@ func (e *Engine) abortRun() {
 }
 
 // internClusterComms interns every recovery group's communicator for one
-// epoch, in group order. Must run on a single goroutine (engine init, or the
-// adaptive decision point while all ranks are parked).
+// epoch, in group order, and stores them in the view. Must run on a single
+// goroutine before the view is published (engine init, or the adaptive
+// decision point while all ranks are parked).
 func internClusterComms(w *mpi.World, view *EpochView) error {
-	for g := 0; g < view.Groups(); g++ {
-		if _, err := w.InternComm(view.Members(g)); err != nil {
+	comms := make([]*mpi.Comm, view.Groups())
+	for g := range comms {
+		c, err := w.InternComm(view.Members(g))
+		if err != nil {
 			return fmt.Errorf("core: epoch %d group %d communicator: %w", view.Epoch(), g, err)
 		}
+		comms[g] = c
 	}
+	view.comms = comms
 	return nil
-}
-
-// clusterComm resolves a rank's cluster communicator from the epoch view.
-// The comm was interned at view creation, so this is a lookup.
-func (e *Engine) clusterComm(view *EpochView, cluster int) (*mpi.Comm, error) {
-	return e.world.InternComm(view.Members(cluster))
 }
 
 // Run executes the application on every rank of the world, with
@@ -465,11 +464,7 @@ func (e *Engine) runRank(p *mpi.Proc, app model.App) error {
 	}
 	rc := &rankCtx{view: e.protos[rank].View()}
 	rc.cluster = rc.view.Group(rank)
-	clusterComm, err := e.clusterComm(rc.view, rc.cluster)
-	if err != nil {
-		return fmt.Errorf("core: rank %d: cluster communicator: %w", rank, err)
-	}
-	rc.comm = clusterComm
+	rc.comm = rc.view.Comm(rc.cluster)
 
 	cursor := 0 // schedule events this rank has processed (see faults.go)
 	rejoinAt := -1
@@ -560,12 +555,11 @@ func (e *Engine) runRank(p *mpi.Proc, app model.App) error {
 // boundary on. A rank whose epoch is older than the decision switches: it
 // drains the committer (old-epoch waves become durable and their remote logs
 // are GC'd before the cluster numbering changes), meets the world at the
-// switch rendezvous, resolves the new cluster communicator from the view
+// switch rendezvous, reads the new cluster communicator from the view
 // (interned by the decision rank), and installs the new view; the wave it
-// then captures is the
-// first of the new epoch — the epoch's recovery line — and is forced durable
-// before the exit barrier releases anyone, so recovery after this point
-// always restores a wave of the current epoch.
+// then captures is the first of the new epoch — the epoch's recovery line —
+// and is forced durable before the exit barrier releases anyone, so recovery
+// after this point always restores a wave of the current epoch.
 func (e *Engine) checkpointRank(p *mpi.Proc, app model.App, rc *rankCtx, iter int, reenter bool) error {
 	rank := p.Rank()
 	switched := false
@@ -595,13 +589,9 @@ func (e *Engine) checkpointRank(p *mpi.Proc, app model.App, rc *rankCtx, iter in
 			if err := e.switchBar.await(); err != nil {
 				return fmt.Errorf("core: rank %d: epoch %d switch rendezvous: %w", rank, next.Epoch(), err)
 			}
-			newComm, err := e.clusterComm(next, next.Group(rank))
-			if err != nil {
-				return fmt.Errorf("core: rank %d: epoch %d cluster communicator: %w", rank, next.Epoch(), err)
-			}
 			rc.view = next
 			rc.cluster = next.Group(rank)
-			rc.comm = newComm
+			rc.comm = next.Comm(rc.cluster)
 			e.protos[rank].setView(next)
 			switched = true
 		}

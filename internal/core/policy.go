@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/mpi"
+)
 
 // Policy is a fault-tolerance protocol, and a protocol here is a partition:
 // the paper's hybrid logs exactly the messages that cross a cluster boundary
@@ -66,7 +70,8 @@ func NewFullLogProtocol(ranks int) *Policy {
 type EpochView struct {
 	epoch   int
 	groupOf []int
-	members [][]int // group -> world ranks, ascending
+	members [][]int     // group -> world ranks, ascending
+	comms   []*mpi.Comm // group -> cluster communicator; set by the engine before publishing
 }
 
 // Epoch returns the epoch id of the view.
@@ -86,9 +91,14 @@ func (v *EpochView) GroupSize(g int) int { return len(v.members[g]) }
 func (v *EpochView) Group(rank int) int { return v.groupOf[rank] }
 
 // Members returns the world ranks of a group in ascending order. The slice
-// is shared and must not be mutated; the engine derives each group's cluster
-// communicator from it instead of running a world-sized CommSplit per rank.
+// is shared and must not be mutated.
 func (v *EpochView) Members(g int) []int { return v.members[g] }
+
+// Comm returns the cluster communicator of a group. The engine interns every
+// group's comm once, when it creates the view, so this is a lookup: no rank
+// runs a world-sized CommSplit, and no rank re-validates the membership. It
+// is only valid on a view the engine has published.
+func (v *EpochView) Comm(g int) *mpi.Comm { return v.comms[g] }
 
 // Logs reports whether src→dst messages are sender-logged under this epoch:
 // exactly the messages that cross a group boundary.

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/checkpoint"
+	"repro/internal/model"
+	"repro/internal/mpi"
 )
 
 // TestPolicyShapes pins each constructor's partition and the logging
@@ -188,5 +190,78 @@ func TestEngineFullLogPolicySolver(t *testing.T) {
 	}
 	if m.RecoveryEvents != 2 {
 		t.Fatalf("recovery events = %d, want 2", m.RecoveryEvents)
+	}
+}
+
+// TestEpochViewCommsAreInterned covers both paths that publish an epoch
+// view — NewEngine's seed view and an adaptive epoch switch. For every group
+// the view's comm must be the world's interned comm for the group's
+// membership (the pointer the rank would have got by interning it itself),
+// and comm ids must not depend on the run.
+func TestEpochViewCommsAreInterned(t *testing.T) {
+	// commIDs runs one engine and returns, per published view in epoch
+	// order, its groups' comm ids.
+	commIDs := func(t *testing.T, cfg Config, factory model.AppFactory) [][]int {
+		t.Helper()
+		w, err := mpi.NewWorld(8, testCost())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var views []*EpochView
+		cfg.Faultpoints = NewFaultRegistry().Register(PointEpochSwitch, func(e *Engine, _ PointInfo) {
+			views = append(views, e.currentView())
+		})
+		eng, err := NewEngine(w, cfg)
+		if err != nil {
+			t.Fatalf("NewEngine: %v", err)
+		}
+		views = append(views, eng.currentView())
+		if err := eng.Run(factory); err != nil {
+			t.Fatalf("engine run: %v", err)
+		}
+		var ids [][]int
+		for _, v := range views {
+			var row []int
+			for g := 0; g < v.Groups(); g++ {
+				c, err := w.InternComm(v.Members(g))
+				if err != nil {
+					t.Fatalf("epoch %d group %d: InternComm: %v", v.Epoch(), g, err)
+				}
+				if v.Comm(g) != c {
+					t.Errorf("epoch %d group %d: view comm %p (id %d) is not the interned comm %p (id %d)",
+						v.Epoch(), g, v.Comm(g), v.Comm(g).ID(), c, c.ID())
+				}
+				row = append(row, c.ID())
+			}
+			ids = append(ids, row)
+		}
+		return ids
+	}
+	for _, tc := range []struct {
+		name    string
+		cfg     func() Config
+		factory model.AppFactory
+		views   int // at least
+	}{
+		{"static", func() Config {
+			return Config{
+				Policy:   NewSPBCProtocol([]int{0, 0, 1, 1, 2, 2, 3, 3}),
+				Interval: 2,
+				Steps:    4,
+				Storage:  checkpoint.NewMemoryStorage(),
+			}
+		}, app.NewRing(16, 3), 1},
+		{"adaptive", func() Config { return adaptiveConfig(contiguous8(), 2, 12) }, app.NewPhaseShift(32, 2), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			first := commIDs(t, tc.cfg(), tc.factory)
+			if len(first) < tc.views {
+				t.Fatalf("%d views published, want at least %d", len(first), tc.views)
+			}
+			if again := commIDs(t, tc.cfg(), tc.factory); !reflect.DeepEqual(again, first) {
+				t.Errorf("comm ids differ across fresh runs: %v then %v", first, again)
+			}
+			t.Logf("comm ids per view: %v", first)
+		})
 	}
 }

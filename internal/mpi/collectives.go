@@ -25,6 +25,24 @@ import (
 // per-communicator collective sequence so that tags of distinct collective
 // invocations never collide.
 
+// collScratch is a rank's working storage for collectives. Collectives run
+// one at a time on the rank's own goroutine, so one set suffices and the
+// per-call allocations go away — at 10k+ ranks every barrier used to
+// allocate 2·n tiny buffers, and every reduction its working vectors.
+type collScratch struct {
+	bar   [2]byte   // Barrier tokens: byte 0 outgoing, byte 1 incoming
+	f64   []float64 // ReduceF64/ScanF64 working vectors
+	bytes []byte    // float64 collectives' wire buffers
+}
+
+// scratch returns the rank's collective scratch, allocating it on first use.
+func (p *Proc) scratch() *collScratch {
+	if p.coll == nil {
+		p.coll = &collScratch{}
+	}
+	return p.coll
+}
+
 // nextCollTag reserves a tag block for one collective invocation on comm.
 // Every member calls the same collectives in the same order (SPMD), so the
 // per-communicator counters stay aligned across ranks.
@@ -56,8 +74,7 @@ func (p *Proc) sendColl(buf []byte, dest, tag int, comm *Comm) error {
 	if err != nil {
 		return err
 	}
-	_, err = p.Wait(req)
-	return err
+	return p.waitColl(req)
 }
 
 // recvColl receives a collective fragment from a comm-relative rank.
@@ -70,8 +87,7 @@ func (p *Proc) recvColl(buf []byte, src, tag int, comm *Comm) error {
 	if err != nil {
 		return err
 	}
-	_, err = p.Wait(req)
-	return err
+	return p.waitColl(req)
 }
 
 // Barrier blocks until every member of comm has entered the barrier,
@@ -89,9 +105,10 @@ func (p *Proc) Barrier(comm *Comm) error {
 		return nil
 	}
 	tag := p.nextCollTag(comm)
-	p.barScratch[0] = 1
-	token := p.barScratch[0:1]
-	buf := p.barScratch[1:2]
+	s := p.scratch()
+	s.bar[0] = 1
+	token := s.bar[0:1]
+	buf := s.bar[1:2]
 	for dist := 1; dist < n; dist *= 2 {
 		to := (me + dist) % n
 		from := (me - dist + n) % n
@@ -102,7 +119,7 @@ func (p *Proc) Barrier(comm *Comm) error {
 		if err := p.sendColl(token, to, tag, comm); err != nil {
 			return err
 		}
-		if _, err := p.Wait(rreq); err != nil {
+		if err := p.waitColl(rreq); err != nil {
 			return err
 		}
 	}
@@ -158,19 +175,38 @@ func (p *Proc) BcastBytes(buf []byte, root int, comm *Comm) error {
 	return nil
 }
 
-// encodeF64 and decodeF64 convert float64 slices to byte payloads.
-func encodeF64(vals []float64) []byte {
-	buf := make([]byte, 8*len(vals))
+// encodeF64 and decodeF64 convert float64 slices to byte payloads. encodeF64
+// writes into dst, which must hold 8·len(vals) bytes, and returns that prefix.
+func encodeF64(dst []byte, vals []float64) []byte {
+	dst = dst[:8*len(vals)]
 	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
 	}
-	return buf
+	return dst
 }
 
 func decodeF64(buf []byte, out []float64) {
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 	}
+}
+
+// f64Work returns the rank's float64 scratch, sized n.
+func (p *Proc) f64Work(n int) []float64 {
+	s := p.scratch()
+	if cap(s.f64) < n {
+		s.f64 = make([]float64, n)
+	}
+	return s.f64[:n]
+}
+
+// byteWork returns the rank's byte scratch, sized n.
+func (p *Proc) byteWork(n int) []byte {
+	s := p.scratch()
+	if cap(s.bytes) < n {
+		s.bytes = make([]byte, n)
+	}
+	return s.bytes[:n]
 }
 
 // ReduceF64 reduces the elements of send across comm with the given
@@ -189,9 +225,12 @@ func (p *Proc) ReduceF64(send, recv []float64, op Op, root int, comm *Comm) erro
 	}
 	n := comm.Size()
 	tag := p.nextCollTag(comm)
-	acc := append([]float64(nil), send...)
-	tmp := make([]float64, len(send))
-	buf := make([]byte, 8*len(send))
+	// acc, tmp and the wire buffer are rank scratch: one message is in
+	// flight at a time, and sendColl copies its payload before returning.
+	work := p.f64Work(2 * len(send))
+	acc, tmp := work[:len(send)], work[len(send):]
+	copy(acc, send)
+	buf := p.byteWork(8 * len(send))
 
 	// Binomial tree rooted (virtually) at 0 after rotation.
 	vrank := (me - root + n) % n
@@ -199,7 +238,7 @@ func (p *Proc) ReduceF64(send, recv []float64, op Op, root int, comm *Comm) erro
 	for mask < n {
 		if vrank&mask != 0 {
 			parent := ((vrank &^ mask) + root) % n
-			if err := p.sendColl(encodeF64(acc), parent, tag, comm); err != nil {
+			if err := p.sendColl(encodeF64(buf, acc), parent, tag, comm); err != nil {
 				return err
 			}
 			break
@@ -232,24 +271,25 @@ func (p *Proc) AllreduceF64(send, recv []float64, op Op, comm *Comm) error {
 	if len(recv) < len(send) {
 		return fmt.Errorf("mpi: allreduce receive buffer too small: %d < %d", len(recv), len(send))
 	}
-	tmp := make([]float64, len(send))
-	if err := p.ReduceF64(send, tmp, op, 0, comm); err != nil {
+	// The reduction lands in recv on rank 0 (ReduceF64 reads send before it
+	// writes recv, so the two may alias); the broadcast then ships it
+	// through the rank's byte scratch, which ReduceF64 is done with.
+	out := recv[:len(send)]
+	if err := p.ReduceF64(send, out, op, 0, comm); err != nil {
 		return err
 	}
 	me, err := p.me(comm)
 	if err != nil {
 		return err
 	}
-	var buf []byte
+	buf := p.byteWork(8 * len(send))
 	if me == 0 {
-		buf = encodeF64(tmp)
-	} else {
-		buf = make([]byte, 8*len(send))
+		encodeF64(buf, out)
 	}
 	if err := p.BcastBytes(buf, 0, comm); err != nil {
 		return err
 	}
-	decodeF64(buf, recv[:len(send)])
+	decodeF64(buf, out)
 	return nil
 }
 
@@ -296,7 +336,7 @@ func (p *Proc) AllgatherBytes(send []byte, comm *Comm) ([]byte, error) {
 		if err := p.sendColl(tmp[:cnt*blk], to, tag, comm); err != nil {
 			return nil, err
 		}
-		if _, err := p.Wait(rreq); err != nil {
+		if err := p.waitColl(rreq); err != nil {
 			return nil, err
 		}
 	}
@@ -311,7 +351,7 @@ func (p *Proc) AllgatherBytes(send []byte, comm *Comm) ([]byte, error) {
 // AllgatherF64 gathers one float64 slice per rank (identical lengths) and
 // returns the concatenation in comm-rank order.
 func (p *Proc) AllgatherF64(send []float64, comm *Comm) ([]float64, error) {
-	raw, err := p.AllgatherBytes(encodeF64(send), comm)
+	raw, err := p.AllgatherBytes(encodeF64(make([]byte, 8*len(send)), send), comm)
 	if err != nil {
 		return nil, err
 	}
@@ -446,7 +486,7 @@ func (p *Proc) AlltoallBytes(send []byte, blockLen int, comm *Comm) ([]byte, err
 		if err := p.sendColl(send[dst*blockLen:(dst+1)*blockLen], dst, tag, comm); err != nil {
 			return nil, err
 		}
-		if _, err := p.Wait(rreq); err != nil {
+		if err := p.waitColl(rreq); err != nil {
 			return nil, err
 		}
 	}
@@ -473,10 +513,14 @@ func (p *Proc) ScanF64(send, recv []float64, op Op, comm *Comm) error {
 	n := comm.Size()
 	tag := p.nextCollTag(comm)
 	// carry is the reduction of my window; it both feeds the next peer and,
-	// on the final round of a rank, is the finished prefix.
-	carry := append([]float64(nil), send...)
-	buf := make([]byte, 8*len(send))
-	tmp := make([]float64, len(send))
+	// on the final round of a rank, is the finished prefix. All working
+	// vectors are rank scratch; the posted receive and the outgoing send of
+	// a round use separate halves of the byte scratch.
+	work := p.f64Work(2 * len(send))
+	carry, tmp := work[:len(send)], work[len(send):]
+	copy(carry, send)
+	wire := p.byteWork(16 * len(send))
+	buf, out := wire[:8*len(send)], wire[8*len(send):]
 	for d := 1; d < n; d *= 2 {
 		var rreq *Request
 		if me-d >= 0 {
@@ -485,12 +529,12 @@ func (p *Proc) ScanF64(send, recv []float64, op Op, comm *Comm) error {
 			}
 		}
 		if me+d < n {
-			if err := p.sendColl(encodeF64(carry), me+d, tag, comm); err != nil {
+			if err := p.sendColl(encodeF64(out, carry), me+d, tag, comm); err != nil {
 				return err
 			}
 		}
 		if rreq != nil {
-			if _, err := p.Wait(rreq); err != nil {
+			if err := p.waitColl(rreq); err != nil {
 				return err
 			}
 			decodeF64(buf, tmp)

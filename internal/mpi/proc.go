@@ -124,8 +124,8 @@ type ProcStatsView struct {
 // methods (Isend/Irecv/Send/Recv/Iprobe/Probe, the collectives, and the
 // Wait/Test family) must be called from the rank's own goroutine (the one
 // started by World.Run): beyond the virtual clock, they share per-rank
-// scratch state (the stamping envelope, the barrier tokens) that is
-// deliberately unsynchronized. Protocol daemons interact with a Proc only
+// scratch state (the stamping envelope, the collective scratch, the request
+// free list) that is deliberately unsynchronized. Protocol daemons interact with a Proc only
 // through the explicitly concurrent-safe methods (InjectReplay, SetRouted,
 // channel accessors, snapshot/restore helpers). A traced Proc records its
 // sends and delivers without any vector clock: the trace package derives
@@ -154,12 +154,12 @@ type Proc struct {
 	// unexp indexes received-but-unmatched messages by their concrete
 	// (source, comm, tag); arrivals stamps them so wildcard receives can
 	// recover global arrival order across queues.
-	unexp    map[matchKey]*ring[*inMessage]
+	unexp    matchIndex[*inMessage]
 	unexpN   int
 	arrivals uint64
 	// posted indexes outstanding reception requests by their requested
 	// (source, comm, tag), wildcards included; postStamp orders them.
-	posted    map[matchKey]*ring[*Request]
+	posted    matchIndex[*Request]
 	postStamp uint64
 	inState   map[ChanKey]*inChannelState
 	pending   int // incomplete requests
@@ -180,12 +180,15 @@ type Proc struct {
 	// only touched from the rank's own goroutine (the stamping contract).
 	stampEnv Envelope
 
-	// barScratch is the token storage for Barrier rounds: byte 0 is the
-	// outgoing token, byte 1 the incoming one. Collectives run one at a time
-	// on the rank's own goroutine, so a single scratch pair suffices and the
-	// per-barrier allocations go away — at 10k+ ranks every barrier used to
-	// allocate 2·n tiny buffers.
-	barScratch [2]byte
+	// coll is the collectives' working storage, allocated by the rank's
+	// first collective (see collScratch). Keeping it out of line keeps the
+	// Proc, which NewWorld allocates per rank, in its smaller size class.
+	coll *collScratch
+	// freeReqs is the top of a stack, linked through Request.next, of
+	// recycled collective-fragment requests: they are never handed to the
+	// caller, so after a successful Wait nothing references them. Only the
+	// rank's own goroutine touches it.
+	freeReqs *Request
 }
 
 func newProc(w *World, id int) *Proc {
@@ -193,8 +196,8 @@ func newProc(w *World, id int) *Proc {
 		world:    w,
 		id:       id,
 		protocol: NopProtocol{},
-		unexp:    make(map[matchKey]*ring[*inMessage]),
-		posted:   make(map[matchKey]*ring[*Request]),
+		unexp:    newMatchIndex[*inMessage](),
+		posted:   newMatchIndex[*Request](),
 		inState:  make(map[ChanKey]*inChannelState),
 		out:      make(map[ChanKey]*outChannelState),
 		collSeq:  make(map[int]uint64),
@@ -325,7 +328,9 @@ func (p *Proc) isend(buf []byte, dstWorld, tag int, comm *Comm) (*Request, error
 	transmit, extra := p.protocol.OnSend(p, env, pb)
 	p.clock.Advance(extra)
 
-	req := &Request{proc: p, kind: reqSend, comm: comm}
+	req := p.newRequest()
+	req.kind = reqSend
+	req.comm = comm
 	p.mu.Lock()
 	p.pending++
 	p.mu.Unlock()
@@ -541,28 +546,22 @@ func (p *Proc) flushHeldLocked() ([]heldSender, bool) {
 	return senders, true
 }
 
+// unexpKey is the concrete (source, comm, tag) queue of a message.
+func unexpKey(msg *inMessage) matchKey {
+	return matchKey{source: msg.env.Source, comm: msg.env.CommID, tag: msg.env.Tag}
+}
+
 // pushUnexpectedLocked files a stamped message under its concrete
 // (source, comm, tag) queue. Caller holds p.mu.
 func (p *Proc) pushUnexpectedLocked(msg *inMessage) {
-	key := matchKey{source: msg.env.Source, comm: msg.env.CommID, tag: msg.env.Tag}
-	q := p.unexp[key]
-	if q == nil {
-		q = &ring[*inMessage]{}
-		p.unexp[key] = q
-	}
-	q.push(msg)
+	p.unexp.push(unexpKey(msg), msg)
 	p.unexpN++
 }
 
 // dropUnexpectedLocked releases and discards every queued unexpected message.
 // Caller holds p.mu.
 func (p *Proc) dropUnexpectedLocked() {
-	for _, q := range p.unexp {
-		for i := q.head; i < len(q.items); i++ {
-			releaseMsg(q.items[i])
-		}
-		q.reset()
-	}
+	p.unexp.clear(releaseMsg)
 	p.unexpN = 0
 }
 
@@ -578,9 +577,10 @@ func (p *Proc) matchPostedLocked(msg *inMessage) *Request {
 	}
 	var best *Request
 	var bestQ *ring[*Request]
+	var bestKey matchKey
 	bestIdx := -1
 	for _, k := range keys {
-		q := p.posted[k]
+		q := p.posted.rings[k]
 		if q == nil {
 			continue
 		}
@@ -591,14 +591,14 @@ func (p *Proc) matchPostedLocked(msg *inMessage) *Request {
 			req := q.items[i]
 			if p.canMatchLocked(req, msg) {
 				if best == nil || req.stamp < best.stamp {
-					best, bestQ, bestIdx = req, q, i
+					best, bestQ, bestKey, bestIdx = req, q, k, i
 				}
 				break
 			}
 		}
 	}
 	if best != nil {
-		bestQ.removeAt(bestIdx)
+		p.posted.removeAt(bestKey, bestQ, bestIdx)
 	}
 	return best
 }
@@ -626,12 +626,12 @@ func (p *Proc) scanUnexpectedLocked(req *Request) (*inMessage, *ring[*inMessage]
 		}
 	}
 	if req.wantSource != AnySource && req.wantTag != AnyTag {
-		if q := p.unexp[matchKey{req.wantSource, req.comm.id, req.wantTag}]; q != nil {
+		if q := p.unexp.rings[matchKey{req.wantSource, req.comm.id, req.wantTag}]; q != nil {
 			consider(q)
 		}
 		return best, bestQ, bestIdx
 	}
-	for k, q := range p.unexp {
+	for k, q := range p.unexp.rings {
 		if k.comm != req.comm.id {
 			continue
 		}
@@ -741,15 +741,13 @@ func (p *Proc) irecv(buf []byte, srcWorld, tag int, comm *Comm) (*Request, error
 	if p.world.Stopped() {
 		return nil, ErrWorldStopped
 	}
-	req := &Request{
-		proc:       p,
-		kind:       reqRecv,
-		buf:        buf,
-		wantSource: srcWorld,
-		wantTag:    tag,
-		comm:       comm,
-		postTime:   p.clock.Now(),
-	}
+	req := p.newRequest()
+	req.kind = reqRecv
+	req.buf = buf
+	req.wantSource = srcWorld
+	req.wantTag = tag
+	req.comm = comm
+	req.postTime = p.clock.Now()
 	p.stampEnv = Envelope{Source: srcWorld, Dest: p.id, CommID: comm.id, Tag: tag}
 	p.protocol.StampRecv(p, &p.stampEnv)
 	req.match = p.stampEnv.Match
@@ -763,7 +761,7 @@ func (p *Proc) irecv(buf []byte, srcWorld, tag int, comm *Comm) (*Request, error
 	req.stamp = p.postStamp
 	// Take the earliest arrived matching unexpected message, if any.
 	if msg, q, idx := p.scanUnexpectedLocked(req); msg != nil {
-		q.removeAt(idx)
+		p.unexp.removeAt(unexpKey(msg), q, idx)
 		p.unexpN--
 		senderDone, sT := p.matchLocked(req, msg)
 		if senderDone != nil {
@@ -771,13 +769,7 @@ func (p *Proc) irecv(buf []byte, srcWorld, tag int, comm *Comm) (*Request, error
 		}
 	}
 	if req.msg == nil {
-		key := matchKey{source: req.wantSource, comm: comm.id, tag: req.wantTag}
-		q := p.posted[key]
-		if q == nil {
-			q = &ring[*Request]{}
-			p.posted[key] = q
-		}
-		q.push(req)
+		p.posted.push(matchKey{source: req.wantSource, comm: comm.id, tag: req.wantTag}, req)
 	}
 	p.mu.Unlock()
 

@@ -31,6 +31,8 @@ type Request struct {
 	completeTime float64
 	status       Status
 	msg          *inMessage
+
+	next *Request // free-list link while the request is recycled
 }
 
 // IsSend reports whether the request is a send request.
@@ -42,4 +44,28 @@ func (r *Request) Done() bool {
 	r.proc.mu.Lock()
 	defer r.proc.mu.Unlock()
 	return r.done
+}
+
+// newRequest returns a blank request owned by p, recycled from p.freeReqs
+// when one is available. Rank goroutine only.
+func (p *Proc) newRequest() *Request {
+	if r := p.freeReqs; r != nil {
+		p.freeReqs, r.next = r.next, nil
+		return r
+	}
+	return &Request{proc: p}
+}
+
+// waitColl waits for a request the runtime created for a collective fragment
+// and never handed to the caller. After a successful Wait nothing references
+// the request any more, so it goes back to p.freeReqs; one abandoned by an
+// error (ErrWorldStopped included) or by a RestoreChannels reset is left to
+// the collector.
+func (p *Proc) waitColl(r *Request) error {
+	if _, err := p.Wait(r); err != nil {
+		return err
+	}
+	*r = Request{proc: p, next: p.freeReqs}
+	p.freeReqs = r
+	return nil
 }

@@ -75,10 +75,8 @@ func (p *Proc) SnapshotChannelsShared() (*ChannelSnapshot, []*bufpkg.Buffer, err
 	// Reconstruct global arrival order across the indexed unexpected queues
 	// from the arrival stamps.
 	queued := make([]*inMessage, 0, p.unexpN)
-	for _, q := range p.unexp {
-		for i := q.head; i < len(q.items); i++ {
-			queued = append(queued, q.items[i])
-		}
+	for _, q := range p.unexp.rings {
+		queued = append(queued, q.items[q.head:]...)
 	}
 	sort.Slice(queued, func(i, j int) bool { return queued[i].arrival < queued[j].arrival })
 	var refs []*bufpkg.Buffer
@@ -121,7 +119,7 @@ func (p *Proc) RestoreChannels(snap *ChannelSnapshot, keepQueued func(QueuedMess
 		keepQueued = func(QueuedMessage) bool { return true }
 	}
 	p.mu.Lock()
-	p.posted = make(map[matchKey]*ring[*Request])
+	p.posted.clear(nil)
 	p.pending = 0
 	p.dropUnexpectedLocked()
 	// Chaos-held messages are dropped, not restored: everything in the buffer
@@ -194,7 +192,7 @@ func (p *Proc) PurgeChannel(srcWorld, commID int) int {
 	}
 	p.held = keptHeld
 	purged := 0
-	for k, q := range p.unexp {
+	for k, q := range p.unexp.rings {
 		if k.source != srcWorld || k.comm != commID {
 			continue
 		}
@@ -213,6 +211,7 @@ func (p *Proc) PurgeChannel(srcWorld, commID int) int {
 		}
 		q.items = kept
 		q.head = 0
+		p.unexp.retireIfEmpty(k, q)
 	}
 	p.unexpN -= purged
 	return purged + heldPurged

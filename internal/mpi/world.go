@@ -276,9 +276,13 @@ func groupSignature(group []int) string {
 // InternComm returns the communicator with exactly the given membership
 // (world ranks, in comm-rank order), creating it on first use. It is the
 // out-of-band counterpart of CommSplit for callers that already know the
-// full membership on every rank — the engine derives its per-cluster comms
-// from the epoch view this way, instead of paying a world-sized allgather
-// per rank. Membership must be non-empty, in-range and duplicate-free.
+// full membership on every rank — the engine interns each recovery group's
+// comm this way once per group per epoch, when it creates the epoch view,
+// instead of paying a world-sized allgather per rank; ranks then read the
+// comm from the view. Validation and the signature cost O(len(group)), so
+// callers on a per-rank or per-message path should keep the returned comm
+// rather than intern it again. Membership must be non-empty, in-range and
+// duplicate-free.
 func (w *World) InternComm(group []int) (*Comm, error) {
 	if len(group) == 0 {
 		return nil, fmt.Errorf("mpi: InternComm with empty membership")
