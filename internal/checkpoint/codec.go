@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/buf"
@@ -206,18 +207,13 @@ func encodedBound(cp *Checkpoint) int {
 }
 
 // sortedChanKeys returns the keys of a ChanKey-indexed map in deterministic
-// order (comm, then peer).
+// (ChanKey.Compare) order.
 func sortedChanKeys[T any](m map[mpi.ChanKey]T) []mpi.ChanKey {
 	keys := make([]mpi.ChanKey, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Comm != keys[j].Comm {
-			return keys[i].Comm < keys[j].Comm
-		}
-		return keys[i].Peer < keys[j].Peer
-	})
+	slices.SortFunc(keys, mpi.ChanKey.Compare)
 	return keys
 }
 

@@ -111,6 +111,51 @@ func TestAllocGuardTracedSend(t *testing.T) {
 	}
 }
 
+// TestAllocGuardRecoverySet pins the O(set) recovery bookkeeping: building
+// a fault event's rollback set, testing every rank against it and electing
+// its leader allocate the same at 64 and at 4096 ranks, and at most once per
+// event (the group-id slice). A rank-set map or a world scan per rank would
+// show up at 4096 ranks.
+func TestAllocGuardRecoverySet(t *testing.T) {
+	skipAllocGuardUnderRace(t)
+	perEvent := func(ranks int) float64 {
+		groupOf := make([]int, ranks)
+		for r := range groupOf {
+			groupOf[r] = r * 4 / ranks // four contiguous groups
+		}
+		view, err := NewEpochView(0, groupOf)
+		if err != nil {
+			t.Fatalf("NewEpochView: %v", err)
+		}
+		// Two faults in the last group and one in the second.
+		faults := []Fault{{Rank: ranks - 1, Iteration: 3}, {Rank: ranks / 4, Iteration: 3}, {Rank: ranks - 2, Iteration: 3}}
+		n := 0
+		event := func() {
+			set := newRollbackSet(view, faults)
+			for r := 0; r < ranks; r++ {
+				if set.has(r) {
+					n++
+				}
+			}
+			n += set.leader()
+		}
+		event()
+		if want := ranks/2 + ranks/4; n != want { // two groups of ranks/4, leader ranks/4
+			t.Fatalf("%d ranks: has/leader tally %d, want %d", ranks, n, want)
+		}
+		return testing.AllocsPerRun(100, event)
+	}
+	small, big := perEvent(64), perEvent(4096)
+	t.Logf("rollback set per event: %.2f allocs at 64 ranks, %.2f at 4096", small, big)
+	if big != small {
+		t.Errorf("rollback set allocates %.2f objects per event at 4096 ranks vs %.2f at 64: "+
+			"world-sized state is back in the recovery bookkeeping", big, small)
+	}
+	if small > 1 {
+		t.Errorf("rollback set allocates %.2f objects per event, want <= 1 (the group-id slice)", small)
+	}
+}
+
 // TestAllocGuardEpochView pins the cached-view invariant: the engine
 // validates each epoch once into an EpochView, and every subsequent group,
 // logging or communicator lookup — the per-send Logs check, the per-wave

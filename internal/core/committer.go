@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -503,8 +502,8 @@ func (c *committer) abort() {
 	c.broadcastAll()
 }
 
-// cancelClusters discards every unpublished wave of the given clusters, so
-// recovery rolls back to the last durable wave. For a cluster with no
+// cancelClusters discards every unpublished wave of the given clusters (ids
+// ascending, the order they are swept in), so recovery rolls back to the last durable wave. For a cluster with no
 // durable wave yet (a fault racing the very first commit), it waits for the
 // oldest in-flight wave to publish first — checkpointing starts at iteration
 // 0, so such a wave always exists — keeping "no checkpoint to roll back to"
@@ -513,12 +512,7 @@ func (c *committer) abort() {
 // checkpoint loads), so no new wave of these clusters can appear
 // concurrently — which also makes the cluster-by-cluster sweep across shards
 // equivalent to the old single-lock cancellation.
-func (c *committer) cancelClusters(clusters map[int]bool) int {
-	ids := make([]int, 0, len(clusters))
-	for cl := range clusters {
-		ids = append(ids, cl)
-	}
-	sort.Ints(ids)
+func (c *committer) cancelClusters(ids []int) int {
 	n := 0
 	for _, cl := range ids {
 		s := c.shardOf(cl)

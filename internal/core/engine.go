@@ -218,9 +218,9 @@ type Engine struct {
 	// faults.go). events only grows; processed entries are immutable.
 	eventMu   sync.Mutex
 	events    []*faultEvent
-	arming    *faultEvent  // event whose recovery-start hook is running
-	armingSet map[int]bool // rolled-back set of the arming event
-	armed     int          // chained events inserted by the current hook
+	arming    *faultEvent // event whose recovery-start hook is running
+	armingSet rollbackSet // rollback set of the arming event
+	armed     int         // chained events inserted by the current hook
 	// eventFloor is the highest iteration of any event handed out for
 	// processing; ScheduleFault rejects insertions below it (they would land
 	// inside the processed prefix and corrupt the per-rank cursors).

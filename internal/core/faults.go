@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/checkpoint"
+	"repro/internal/logstore"
 	"repro/internal/model"
 	"repro/internal/mpi"
 )
@@ -15,6 +18,12 @@ import (
 // into a recovery that is being handled, which is how a second failure lands
 // *inside* a rollback/replay window.
 //
+// An event rolls back the recovery groups its faults fail (a rollbackSet:
+// the epoch view plus those group ids), so every question recovery asks of
+// the set — does this rank, or this channel end, roll back; who leads — is a
+// group lookup, and one event's bookkeeping is O(rolled-back set), never
+// O(world × set).
+//
 // Every rank processes the events in list order (a per-rank cursor), and
 // every event is a full-world rendezvous, so the recovery barrier generations
 // stay aligned across ranks by construction. When a rank becomes due for an
@@ -23,14 +32,14 @@ import (
 //   - For a plan event, a rank is due when its iteration reaches the event's
 //     (re-executed boundaries behind the cursor are skipped, exactly the old
 //     handled-map semantics).
-//   - For a chained event, the ranks rolled back by the *arming* event are
-//     re-executing their replay window; they join when re-execution reaches
-//     the chained iteration (or immediately, if they restored past it).
-//     Every other rank joins immediately — it is a quiescent bystander at
-//     its own boundary, and the recovering ranks cannot need its future
-//     sends: their inter-set receives come from the log replay. Bystanders
-//     step between two events only when no chained event is pending, so no
-//     rank can be blocked mid-step on a parked peer.
+//   - For a chained event, the ranks of the groups rolled back by the
+//     *arming* event are re-executing their replay window; they join when
+//     re-execution reaches the chained iteration (or immediately, if they
+//     restored past it). Every other rank joins immediately — it is a
+//     quiescent bystander at its own boundary, and the recovering ranks
+//     cannot need its future sends: their inter-set receives come from the
+//     log replay. Bystanders step between two events only when no chained
+//     event is pending, so no rank can be blocked mid-step on a parked peer.
 //
 // A chained iteration must not exceed the arming event's (ArmFault rejects
 // it): past that boundary the recovering ranks rejoin live traffic and would
@@ -40,10 +49,10 @@ type faultEvent struct {
 	// events: the boundary at which the re-executing armed ranks join).
 	iter   int
 	faults []Fault
-	// armedBy is nil for plan events. For a chained event it is the
-	// rolled-back set of the arming event: the ranks whose joining is
-	// deferred to their re-execution of iter.
-	armedBy map[int]bool
+	// armedBy is nil for plan events. For a chained event it is the arming
+	// event's rollback set, shared with it (groups under the arming event's
+	// view): its ranks defer joining to their re-execution of iter.
+	armedBy *rollbackSet
 	// failTime is the maximum virtual time across the event's rolled-back
 	// set at the moment of the failure; replay availability starts after it.
 	// Guarded by Engine.mu.
@@ -86,7 +95,7 @@ func (e *Engine) nextDueEvent(cursor, rank, iter int) *faultEvent {
 		return nil
 	}
 	ev := e.events[cursor]
-	if (ev.armedBy == nil || ev.armedBy[rank]) && iter < ev.iter {
+	if (ev.armedBy == nil || ev.armedBy.has(rank)) && iter < ev.iter {
 		return nil
 	}
 	// The event is being handed out for processing: from here on, inserting a
@@ -147,13 +156,10 @@ func (e *Engine) ArmFault(f Fault) error {
 	if f.Iteration < 0 || f.Iteration > e.arming.iter {
 		return fmt.Errorf("core: chained fault iteration %d outside the arming event's window [0,%d]: past the failure point the recovering ranks rejoin live traffic and the chained rendezvous would deadlock", f.Iteration, e.arming.iter)
 	}
-	armedBy := make(map[int]bool, len(e.armingSet))
-	for r := range e.armingSet {
-		armedBy[r] = true
-	}
-	ev := &faultEvent{iter: f.Iteration, faults: []Fault{f}, armedBy: armedBy}
+	armedBy := e.armingSet
+	ev := &faultEvent{iter: f.Iteration, faults: []Fault{f}, armedBy: &armedBy}
 	// A chained fault below the arming boundary is only safe when every
-	// recovering rank rolls back again with it. Otherwise a recovering rank
+	// recovering group rolls back again with it. Otherwise a recovering rank
 	// stays outside the chained set while its sender log is still missing the
 	// entries wiped by its own restore: the replay injected for the chained
 	// rollback cannot include them, and the later re-sends are suppressed by
@@ -161,10 +167,10 @@ func (e *Engine) ArmFault(f Fault) error {
 	// arming boundary itself every recovering rank has re-executed (and
 	// re-logged) its full window before joining, so any target is safe.
 	if f.Iteration < e.arming.iter {
-		chained := e.rolledBackSet(e.currentView(), ev)
-		for r := range e.armingSet {
-			if !chained[r] {
-				return fmt.Errorf("core: chained fault on rank %d at iteration %d rolls back a set that excludes recovering rank %d: below the arming boundary %d the recovering ranks have not yet re-logged the sends the chained rollback must replay; target the recovery's own group or use iteration %d", f.Rank, f.Iteration, r, e.arming.iter, e.arming.iter)
+		chained := newRollbackSet(armedBy.view, ev.faults)
+		for _, g := range armedBy.groups {
+			if !chained.hasGroup(g) {
+				return fmt.Errorf("core: chained fault on rank %d at iteration %d rolls back a set that excludes recovering rank %d: below the arming boundary %d the recovering ranks have not yet re-logged the sends the chained rollback must replay; target the recovery's own group or use iteration %d", f.Rank, f.Iteration, armedBy.view.Members(g)[0], e.arming.iter, e.arming.iter)
 			}
 		}
 	}
@@ -187,8 +193,8 @@ func (e *Engine) ArmFault(f Fault) error {
 }
 
 // openArming opens the ArmFault window for one event's recovery-start hook.
-// set is the event's rolled-back set.
-func (e *Engine) openArming(ev *faultEvent, set map[int]bool) {
+// set is the event's rollback set.
+func (e *Engine) openArming(ev *faultEvent, set rollbackSet) {
 	e.eventMu.Lock()
 	e.arming, e.armingSet, e.armed = ev, set, 0
 	e.eventMu.Unlock()
@@ -196,7 +202,7 @@ func (e *Engine) openArming(ev *faultEvent, set map[int]bool) {
 
 func (e *Engine) closeArming() {
 	e.eventMu.Lock()
-	e.arming, e.armingSet, e.armed = nil, nil, 0
+	e.arming, e.armingSet, e.armed = nil, rollbackSet{}, 0
 	e.eventMu.Unlock()
 }
 
@@ -212,11 +218,8 @@ func (e *Engine) closeArming() {
 func (e *Engine) handleFaultEvent(p *mpi.Proc, app model.App, ev *faultEvent, iter int) (resume int, rolledBack bool, err error) {
 	rank := p.Rank()
 	view := e.currentView()
-	set := e.rolledBackSet(view, ev)
-	failed := make(map[int]bool)
-	for _, f := range ev.faults {
-		failed[f.Rank] = true
-	}
+	set := newRollbackSet(view, ev.faults)
+	leader, member := set.leader(), set.has(rank)
 
 	// Rendezvous 1: the whole world is quiescent — every rank is at an
 	// iteration boundary with no pending requests and no in-flight sends.
@@ -231,12 +234,8 @@ func (e *Engine) handleFaultEvent(p *mpi.Proc, app model.App, ev *faultEvent, it
 	// in the senders' logs, because remote-log GC runs only after a wave
 	// commits. This happens before rendezvous 2, so every subsequent Load
 	// observes a stable storage state.
-	if rank == leaderOf(set) {
-		groups := make(map[int]bool)
-		for r := range set {
-			groups[view.Group(r)] = true
-		}
-		n := e.committer.cancelClusters(groups)
+	if rank == leader {
+		n := e.committer.cancelClusters(set.groups)
 		e.counters.wavesCanceled.Add(int64(n))
 		// Storage is stable and everyone is parked: this is the window in
 		// which a chaos hook may chain a second failure into the recovery.
@@ -248,13 +247,13 @@ func (e *Engine) handleFaultEvent(p *mpi.Proc, app model.App, ev *faultEvent, it
 	}
 
 	var cuts map[mpi.ChanKey]uint64
-	if set[rank] {
+	if member {
 		// Capture, per outgoing channel that leaves the rolled-back set, the
 		// last sequence number assigned before the failure: re-executed sends
 		// at or below it were already received and must be suppressed.
 		cuts = make(map[mpi.ChanKey]uint64)
 		for _, key := range p.OutChannels() {
-			if !set[key.Peer] {
+			if !set.has(key.Peer) {
 				cuts[key] = p.OutSeq(key.Peer, key.Comm)
 			}
 		}
@@ -271,7 +270,7 @@ func (e *Engine) handleFaultEvent(p *mpi.Proc, app model.App, ev *faultEvent, it
 	}
 
 	var cp *checkpoint.Checkpoint
-	if set[rank] {
+	if member {
 		loaded, ok, lerr := e.cfg.Storage.Load(rank)
 		if lerr != nil {
 			return 0, false, fmt.Errorf("core: rank %d: load checkpoint: %w", rank, lerr)
@@ -298,11 +297,15 @@ func (e *Engine) handleFaultEvent(p *mpi.Proc, app model.App, ev *faultEvent, it
 		if err := e.protos[rank].RestoreState(cp.Protocol); err != nil {
 			return 0, false, fmt.Errorf("core: rank %d: %w", rank, err)
 		}
-		if failed[rank] {
-			// The failed rank lost its memory: its sender-based log comes
-			// back from the checkpoint. Co-rollback peers keep their
-			// in-memory logs (re-logging is deduplicated by sequence number).
-			e.stores[rank].RestoreFrom(storeFromRecords(cp.Logs))
+		for _, f := range ev.faults {
+			if f.Rank == rank {
+				// The failed rank lost its memory: its sender-based log comes
+				// back from the checkpoint. Co-rollback peers keep their
+				// in-memory logs (re-logging is deduplicated by sequence
+				// number).
+				e.stores[rank].RestoreFrom(storeFromRecords(cp.Logs))
+				break
+			}
 		}
 		e.protos[rank].beginRecovery(cuts)
 		e.counters.restored.Add(1)
@@ -316,7 +319,7 @@ func (e *Engine) handleFaultEvent(p *mpi.Proc, app model.App, ev *faultEvent, it
 	if err := e.bar.await(); err != nil {
 		return 0, false, err
 	}
-	if rank == leaderOf(set) {
+	if rank == leader {
 		if err := e.injectReplays(ev, set); err != nil {
 			return 0, false, err
 		}
@@ -329,7 +332,7 @@ func (e *Engine) handleFaultEvent(p *mpi.Proc, app model.App, ev *faultEvent, it
 	if err := e.bar.await(); err != nil {
 		return 0, false, err
 	}
-	if !set[rank] {
+	if !member {
 		return iter, false, nil
 	}
 	return cp.Iteration, true, nil
@@ -340,39 +343,25 @@ func (e *Engine) handleFaultEvent(p *mpi.Proc, app model.App, ev *faultEvent, it
 // restored checkpoint (restored MaxSeqSeen onwards). Replay is per channel in
 // sequence order; virtual availability times start after the failure time
 // plus a control latency.
-func (e *Engine) injectReplays(ev *faultEvent, set map[int]bool) error {
+func (e *Engine) injectReplays(ev *faultEvent, set rollbackSet) error {
 	cost := e.world.Cost()
 	e.mu.Lock()
 	start := ev.failTime + cost.ControlLatency
 	e.mu.Unlock()
 	records, bytes := 0, uint64(0)
-	for d := 0; d < e.world.Size(); d++ {
-		if !set[d] {
-			continue
-		}
-		pd := e.world.Proc(d)
-		for s := 0; s < e.world.Size(); s++ {
-			if set[s] {
-				continue
+	for _, c := range replayChannels(e.stores, set) {
+		from := e.world.Proc(c.dst).InState(c.src, c.comm).MaxSeqSeen + 1
+		t := start
+		for _, r := range e.stores[c.src].Range(c.dst, c.comm, from) {
+			t += cost.TransferTime(c.src, c.dst, len(r.Payload))
+			if err := e.world.InjectReplay(r.Env, r.Payload, t); err != nil {
+				// A dropped replay would leave the recovering rank blocked
+				// forever on the missing sequence number.
+				return fmt.Errorf("core: replay %d->%d (comm %d) seq %d: %w",
+					c.src, c.dst, c.comm, r.Env.Seq, err)
 			}
-			for _, key := range e.stores[s].Channels() {
-				if key.Peer != d {
-					continue
-				}
-				from := pd.InState(s, key.Comm).MaxSeqSeen + 1
-				t := start
-				for _, r := range e.stores[s].Range(d, key.Comm, from) {
-					t += cost.TransferTime(s, d, len(r.Payload))
-					if err := e.world.InjectReplay(r.Env, r.Payload, t); err != nil {
-						// A dropped replay would leave the recovering rank
-						// blocked forever on the missing sequence number.
-						return fmt.Errorf("core: replay %d->%d (comm %d) seq %d: %w",
-							s, d, key.Comm, r.Env.Seq, err)
-					}
-					records++
-					bytes += uint64(len(r.Payload))
-				}
-			}
+			records++
+			bytes += uint64(len(r.Payload))
 		}
 	}
 	e.counters.replayedRecords.Add(int64(records))
@@ -380,27 +369,67 @@ func (e *Engine) injectReplays(ev *faultEvent, set map[int]bool) error {
 	return nil
 }
 
-// rolledBackSet returns the union of the recovery groups failed by the
-// event, under the given epoch view.
-func (e *Engine) rolledBackSet(view *EpochView, ev *faultEvent) map[int]bool {
-	set := make(map[int]bool)
-	groupOf := view.GroupOf()
-	for _, f := range ev.faults {
-		fg := groupOf[f.Rank]
-		for r, g := range groupOf {
-			if g == fg {
-				set[r] = true
+// replayChan names one logged channel a recovery replays: sender src's log
+// of its messages to dst on communicator comm.
+type replayChan struct{ dst, src, comm int }
+
+// replayChannels returns every logged channel from a sender outside the set
+// into a rank inside it, in replay order: destination ascending, then sender
+// ascending, then the sender store's channel order. Each surviving sender's
+// channel list is read once, so the cost is O(world + channels), not one
+// list copy per (destination, sender) pair.
+func replayChannels(stores []*logstore.Store, set rollbackSet) []replayChan {
+	var chans []replayChan
+	for s, store := range stores {
+		if set.has(s) {
+			continue
+		}
+		for _, key := range store.Channels() {
+			if set.has(key.Peer) {
+				chans = append(chans, replayChan{dst: key.Peer, src: s, comm: key.Comm})
 			}
 		}
 	}
-	return set
+	// Senders were visited ascending, each in its store's channel order, so
+	// bucketing by destination with a stable sort keeps both orders inside
+	// every bucket.
+	slices.SortStableFunc(chans, func(a, b replayChan) int { return cmp.Compare(a.dst, b.dst) })
+	return chans
 }
 
-// leaderOf returns the lowest rank of the set (the recovery leader).
-func leaderOf(set map[int]bool) int {
+// rollbackSet is the set of ranks one fault event rolls back: the recovery
+// groups its faults fail, under one epoch view. It holds the view and the
+// failed group ids, so membership is a lookup against at most len(faults)
+// ids, and building, testing and leading the set never touch a world-sized
+// structure.
+type rollbackSet struct {
+	view   *EpochView
+	groups []int // failed group ids, distinct, ascending
+}
+
+// newRollbackSet returns the set the given faults roll back under view.
+func newRollbackSet(view *EpochView, faults []Fault) rollbackSet {
+	groups := make([]int, 0, len(faults))
+	for _, f := range faults {
+		g := view.Group(f.Rank)
+		if i, found := slices.BinarySearch(groups, g); !found {
+			groups = slices.Insert(groups, i, g)
+		}
+	}
+	return rollbackSet{view: view, groups: groups}
+}
+
+// hasGroup reports whether group g rolls back.
+func (s rollbackSet) hasGroup(g int) bool { return slices.Contains(s.groups, g) }
+
+// has reports whether rank rolls back.
+func (s rollbackSet) has(rank int) bool { return s.hasGroup(s.view.Group(rank)) }
+
+// leader returns the lowest rank of the set (the recovery leader).
+func (s rollbackSet) leader() int {
 	leader := -1
-	for r := range set {
-		if leader < 0 || r < leader {
+	for _, g := range s.groups {
+		if r := s.view.Members(g)[0]; leader < 0 || r < leader {
 			leader = r
 		}
 	}

@@ -200,6 +200,46 @@ func TestArmFaultRejectsCrossGroupBelowBoundary(t *testing.T) {
 	}
 }
 
+// TestArmFaultLivenessErrorIsDeterministic: the rejection of a chained fault
+// whose set excludes a recovering group names the lowest rank of the first
+// excluded group, so the message is the same on every call.
+func TestArmFaultLivenessErrorIsDeterministic(t *testing.T) {
+	const ranks, steps = 8, 8
+	var errs []string
+	var once sync.Once
+	reg := NewFaultRegistry().Register(PointRecoveryStart, func(e *Engine, info PointInfo) {
+		once.Do(func() {
+			for i := 0; i < 20; i++ {
+				err := e.ArmFault(Fault{Rank: 1, Iteration: info.Iteration - 1})
+				if err == nil {
+					t.Error("chained fault outside the recovering group was accepted")
+					return
+				}
+				errs = append(errs, err.Error())
+			}
+		})
+	})
+	runEngine(t, app.NewRing(16, 3), Config{
+		Policy:      NewSPBCProtocol(contiguous8()),
+		Interval:    2,
+		Steps:       steps,
+		Storage:     checkpoint.NewMemoryStorage(),
+		Faults:      []Fault{{Rank: 6, Iteration: 5}},
+		Faultpoints: reg,
+	}, nil)
+	const want = "core: chained fault on rank 1 at iteration 4 rolls back a set that excludes recovering rank 4: " +
+		"below the arming boundary 5 the recovering ranks have not yet re-logged the sends the chained rollback " +
+		"must replay; target the recovery's own group or use iteration 5"
+	if len(errs) != 20 {
+		t.Fatalf("collected %d errors, want 20", len(errs))
+	}
+	for i, got := range errs {
+		if got != want {
+			t.Fatalf("call %d: error\n got %q\nwant %q", i, got, want)
+		}
+	}
+}
+
 // TestScheduleFaultValidatesBounds pins the range checks of the quiescent
 // scheduling API.
 func TestScheduleFaultValidatesBounds(t *testing.T) {

@@ -20,6 +20,7 @@ package logstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -265,7 +266,8 @@ func (s *Store) Truncate(dstWorld, commID int, uptoSeq uint64) int {
 	return i
 }
 
-// Channels returns the channel keys present in the store, sorted.
+// Channels returns the channel keys present in the store, in ChanKey.Compare
+// order.
 func (s *Store) Channels() []mpi.ChanKey {
 	s.mu.RLock()
 	keys := make([]mpi.ChanKey, 0, len(s.channels))
@@ -273,12 +275,7 @@ func (s *Store) Channels() []mpi.ChanKey {
 		keys = append(keys, k)
 	}
 	s.mu.RUnlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Comm != keys[j].Comm {
-			return keys[i].Comm < keys[j].Comm
-		}
-		return keys[i].Peer < keys[j].Peer
-	})
+	slices.SortFunc(keys, mpi.ChanKey.Compare)
 	return keys
 }
 

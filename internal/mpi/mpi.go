@@ -26,6 +26,7 @@
 package mpi
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 )
@@ -96,6 +97,17 @@ func (e Envelope) OutChannel() ChanKey {
 type ChanKey struct {
 	Peer int
 	Comm int
+}
+
+// Compare orders channel keys by communicator, then peer: the one
+// deterministic channel order (log stores list channels in it, and
+// checkpoint images encode them in it). It returns -1, 0 or +1, as
+// cmp.Compare does.
+func (k ChanKey) Compare(o ChanKey) int {
+	if c := cmp.Compare(k.Comm, o.Comm); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.Peer, o.Peer)
 }
 
 // Status describes a completed reception, as MPI_Status does.

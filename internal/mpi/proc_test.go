@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -658,5 +659,19 @@ func TestPropertyPayloadIntegrity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChanKeyCompareOrder pins the one channel order: communicator first,
+// then peer.
+func TestChanKeyCompareOrder(t *testing.T) {
+	want := []ChanKey{{Peer: 3, Comm: 0}, {Peer: 7, Comm: 0}, {Peer: 0, Comm: 1}, {Peer: 2, Comm: 1}, {Peer: 1, Comm: 4}}
+	got := []ChanKey{want[4], want[2], want[0], want[3], want[1]}
+	slices.SortFunc(got, ChanKey.Compare)
+	if !slices.Equal(got, want) {
+		t.Fatalf("sorted keys = %v, want %v", got, want)
+	}
+	if c := want[1].Compare(want[1]); c != 0 {
+		t.Fatalf("a key compares %d to itself, want 0", c)
 	}
 }
