@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -252,15 +251,11 @@ func TestRunSweepEndToEnd(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	parsed, err := ReadResult(buf.Bytes())
+	raw, err := encodeJSON(res)
 	if err != nil {
-		t.Fatalf("ReadResult: %v", err)
+		t.Fatalf("encodeJSON: %v", err)
 	}
-	if !reflect.DeepEqual(parsed, res) {
+	if parsed := decodeJSON[Result](t, raw); !reflect.DeepEqual(parsed, res) {
 		t.Fatalf("JSON round trip changed the result")
 	}
 	if res.Table().String() == "" {

@@ -10,9 +10,7 @@ package bench
 // reproduced from its seed alone.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -152,40 +150,9 @@ func (r *ChaosResult) Failed() map[string][]string {
 	return out
 }
 
-// JSON serializes the result (indented, stable field order).
-func (r *ChaosResult) JSON() ([]byte, error) {
-	raw, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("bench: marshal chaos result: %w", err)
-	}
-	return raw, nil
-}
-
-// WriteJSON writes the JSON result to w.
-func (r *ChaosResult) WriteJSON(w io.Writer) error {
-	raw, err := r.JSON()
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	_, err = w.Write(raw)
-	return err
-}
-
 // WriteFile writes CHAOS_<name>.json into dir and returns the path.
 func (r *ChaosResult) WriteFile(dir string) (string, error) {
-	if r.Name == "" || strings.ContainsAny(r.Name, "/\\") {
-		return "", fmt.Errorf("bench: invalid chaos run name %q", r.Name)
-	}
-	raw, err := r.JSON()
-	if err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, "CHAOS_"+r.Name+".json")
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-		return "", fmt.Errorf("bench: write %s: %w", path, err)
-	}
-	return path, nil
+	return writeJSONFile(dir, "CHAOS_", r.Name, r)
 }
 
 // WriteShrunkFile writes the minimized failing scenarios as a Go-flavoured
@@ -217,15 +184,6 @@ func (r *ChaosResult) WriteShrunkFile(dir string) (string, error) {
 		return "", fmt.Errorf("bench: write %s: %w", path, err)
 	}
 	return path, nil
-}
-
-// ReadChaosResult parses a result written by WriteJSON/WriteFile.
-func ReadChaosResult(raw []byte) (*ChaosResult, error) {
-	var r ChaosResult
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return nil, fmt.Errorf("bench: unmarshal chaos result: %w", err)
-	}
-	return &r, nil
 }
 
 // Table renders the chaos run as an aligned plain-text table, one row per

@@ -67,11 +67,10 @@ func goldenChaosResult() *ChaosResult {
 // diff of testdata/chaos_golden.json.
 func TestChaosGoldenJSON(t *testing.T) {
 	res := goldenChaosResult()
-	raw, err := res.JSON()
+	raw, err := encodeJSON(res)
 	if err != nil {
-		t.Fatalf("JSON: %v", err)
+		t.Fatalf("encodeJSON: %v", err)
 	}
-	raw = append(raw, '\n')
 	path := filepath.Join("testdata", "chaos_golden.json")
 	if *update {
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
@@ -85,10 +84,7 @@ func TestChaosGoldenJSON(t *testing.T) {
 	if string(raw) != string(want) {
 		t.Fatalf("chaos JSON schema drifted from %s:\ngot:\n%s\nwant:\n%s", path, raw, want)
 	}
-	parsed, err := ReadChaosResult(want)
-	if err != nil {
-		t.Fatalf("ReadChaosResult on golden: %v", err)
-	}
+	parsed := decodeJSON[ChaosResult](t, want)
 	if !reflect.DeepEqual(parsed, res) {
 		t.Fatalf("golden round trip changed the result:\nin  %+v\nout %+v", res, parsed)
 	}
@@ -128,10 +124,7 @@ func TestRunChaos(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read report: %v", err)
 	}
-	parsed, err := ReadChaosResult(raw)
-	if err != nil {
-		t.Fatalf("ReadChaosResult: %v", err)
-	}
+	parsed := decodeJSON[ChaosResult](t, raw)
 	if !reflect.DeepEqual(parsed, res) {
 		t.Fatal("report round trip changed the result")
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -61,11 +62,10 @@ func goldenResult() *Result {
 // diff of testdata/bench_golden.json.
 func TestBenchGoldenJSON(t *testing.T) {
 	res := goldenResult()
-	raw, err := res.JSON()
+	raw, err := encodeJSON(res)
 	if err != nil {
-		t.Fatalf("JSON: %v", err)
+		t.Fatalf("encodeJSON: %v", err)
 	}
-	raw = append(raw, '\n')
 	path := filepath.Join("testdata", "bench_golden.json")
 	if *update {
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
@@ -79,14 +79,21 @@ func TestBenchGoldenJSON(t *testing.T) {
 	if string(raw) != string(want) {
 		t.Fatalf("bench JSON schema drifted from %s:\ngot:\n%s\nwant:\n%s", path, raw, want)
 	}
-	parsed, err := ReadResult(want)
-	if err != nil {
-		t.Fatalf("ReadResult on golden: %v", err)
-	}
+	parsed := decodeJSON[Result](t, want)
 	if !reflect.DeepEqual(parsed, res) {
 		t.Fatalf("golden round trip changed the result:\nin  %+v\nout %+v", res, parsed)
 	}
 	if errs := parsed.Errs(); len(errs) != 1 {
 		t.Fatalf("golden has %d failed cells, want 1: %v", len(errs), errs)
 	}
+}
+
+// decodeJSON parses an artifact's bytes back into its type.
+func decodeJSON[T any](t *testing.T, raw []byte) *T {
+	t.Helper()
+	var v T
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatalf("decode %T: %v", v, err)
+	}
+	return &v
 }

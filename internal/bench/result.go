@@ -3,7 +3,6 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -115,49 +114,37 @@ func (r *Result) Errs() map[string]string {
 	return out
 }
 
-// JSON serializes the result (indented, stable field order).
-func (r *Result) JSON() ([]byte, error) {
-	raw, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("bench: marshal result: %w", err)
-	}
-	return raw, nil
-}
-
-// WriteJSON writes the JSON result to w.
-func (r *Result) WriteJSON(w io.Writer) error {
-	raw, err := r.JSON()
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	_, err = w.Write(raw)
-	return err
-}
-
 // WriteFile writes BENCH_<name>.json into dir and returns the path.
 func (r *Result) WriteFile(dir string) (string, error) {
-	if r.Name == "" || strings.ContainsAny(r.Name, "/\\") {
-		return "", fmt.Errorf("bench: invalid sweep name %q", r.Name)
+	return writeJSONFile(dir, "BENCH_", r.Name, r)
+}
+
+// encodeJSON renders a bench artifact the way its file holds it: indented
+// JSON in the type's field order, ending in a newline. The golden tests pin
+// these bytes.
+func encodeJSON(v any) ([]byte, error) {
+	raw, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("bench: marshal %T: %w", v, err)
 	}
-	raw, err := r.JSON()
+	return append(raw, '\n'), nil
+}
+
+// writeJSONFile writes v's encodeJSON bytes to <prefix><name>.json in dir
+// and returns the path; a name that could leave dir is rejected.
+func writeJSONFile(dir, prefix, name string, v any) (string, error) {
+	if name == "" || strings.ContainsAny(name, "/\\") {
+		return "", fmt.Errorf("bench: invalid run name %q", name)
+	}
+	raw, err := encodeJSON(v)
 	if err != nil {
 		return "", err
 	}
-	path := filepath.Join(dir, "BENCH_"+r.Name+".json")
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+	path := filepath.Join(dir, prefix+name+".json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		return "", fmt.Errorf("bench: write %s: %w", path, err)
 	}
 	return path, nil
-}
-
-// ReadResult parses a result written by WriteJSON/WriteFile.
-func ReadResult(raw []byte) (*Result, error) {
-	var r Result
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return nil, fmt.Errorf("bench: unmarshal result: %w", err)
-	}
-	return &r, nil
 }
 
 // Table renders the sweep as an aligned plain-text table, one row per cell.

@@ -23,13 +23,8 @@ package bench
 // the adaptive protocol to the same world sizes as static SPBC.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -390,49 +385,9 @@ func (r *ScaleResult) Violations() []string {
 	return out
 }
 
-// JSON serializes the result (indented, stable field order).
-func (r *ScaleResult) JSON() ([]byte, error) {
-	raw, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("bench: marshal scale result: %w", err)
-	}
-	return raw, nil
-}
-
-// WriteJSON writes the JSON result to w.
-func (r *ScaleResult) WriteJSON(w io.Writer) error {
-	raw, err := r.JSON()
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	_, err = w.Write(raw)
-	return err
-}
-
 // WriteFile writes BENCH_scale_<name>.json into dir and returns the path.
 func (r *ScaleResult) WriteFile(dir string) (string, error) {
-	if r.Name == "" || strings.ContainsAny(r.Name, "/\\") {
-		return "", fmt.Errorf("bench: invalid scale profile name %q", r.Name)
-	}
-	raw, err := r.JSON()
-	if err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, "BENCH_scale_"+r.Name+".json")
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-		return "", fmt.Errorf("bench: write %s: %w", path, err)
-	}
-	return path, nil
-}
-
-// ReadScaleResult parses a result written by WriteJSON/WriteFile.
-func ReadScaleResult(raw []byte) (*ScaleResult, error) {
-	var r ScaleResult
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return nil, fmt.Errorf("bench: unmarshal scale result: %w", err)
-	}
-	return &r, nil
+	return writeJSONFile(dir, "BENCH_scale_", r.Name, r)
 }
 
 // Table renders the profile as an aligned plain-text table, one row per cell.

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -65,15 +64,11 @@ func TestRunScaleSmall(t *testing.T) {
 		t.Fatalf("disabled gates still produced violations: %v", v)
 	}
 
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	parsed, err := ReadScaleResult(buf.Bytes())
+	raw, err := encodeJSON(res)
 	if err != nil {
-		t.Fatalf("ReadScaleResult: %v", err)
+		t.Fatalf("encodeJSON: %v", err)
 	}
-	if !reflect.DeepEqual(parsed, res) {
+	if parsed := decodeJSON[ScaleResult](t, raw); !reflect.DeepEqual(parsed, res) {
 		t.Fatalf("JSON round trip changed the result")
 	}
 	if res.Table().String() == "" {

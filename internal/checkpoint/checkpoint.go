@@ -20,19 +20,17 @@
 // Both forms encode to the same binary image (codec.go). Two storage
 // back-ends are provided: an in-memory store that keeps the immutable
 // encoded image per rank (used by the benchmarks, which follow the paper in
-// excluding checkpoint I/O from the measurements) and a directory-backed
-// store with per-rank file locks so a committer pool can write a wave's
-// members in parallel. Both support two-phase saves (StageImage): an
-// expensive stage step that makes the image durable without publishing it,
-// and a cheap commit step that atomically makes it the rank's latest
-// checkpoint — the hook the engine uses to publish whole waves atomically
-// and to discard waves a failure interrupted.
+// excluding checkpoint I/O from the measurements) and TieredStorage
+// (tiered.go), which keeps recent waves in memory and demotes older ones to
+// a ColdStore, in memory or on disk (DirColdStore). Both support two-phase
+// saves (StageImage): an expensive stage step that makes the image durable
+// without publishing it, and a cheap commit step that atomically makes it
+// the rank's latest checkpoint — the hook the engine uses to publish whole
+// waves atomically and to discard waves a failure interrupted.
 package checkpoint
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
@@ -249,151 +247,7 @@ func (m *MemoryStorage) Saves() int {
 	return m.saves
 }
 
-// DirStorage stores checkpoints as binary files in a directory, one file per
-// rank (overwritten on every save, like a two-phase local checkpoint). Locks
-// are per rank, so a committer pool can write a wave's members in parallel.
-type DirStorage struct {
-	dir string
-	mu  sync.Mutex // guards locks and tmpSeq only
-	lks map[int]*sync.Mutex
-	seq int // distinguishes concurrent temp files of one rank
-}
-
-// NewDirStorage creates (if needed) and uses the given directory.
-func NewDirStorage(dir string) (*DirStorage, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("checkpoint: create storage dir: %w", err)
-	}
-	return &DirStorage{dir: dir, lks: make(map[int]*sync.Mutex)}, nil
-}
-
-func (d *DirStorage) path(rank int) string {
-	return filepath.Join(d.dir, fmt.Sprintf("rank-%06d.ckpt", rank))
-}
-
-// lock returns the per-rank file lock, creating it on first use.
-func (d *DirStorage) lock(rank int) *sync.Mutex {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	lk := d.lks[rank]
-	if lk == nil {
-		lk = &sync.Mutex{}
-		d.lks[rank] = lk
-	}
-	return lk
-}
-
-// tmpPath returns a unique temp-file path for the rank.
-func (d *DirStorage) tmpPath(rank int) string {
-	d.mu.Lock()
-	d.seq++
-	n := d.seq
-	d.mu.Unlock()
-	return fmt.Sprintf("%s.%d.tmp", d.path(rank), n)
-}
-
-// writeImage writes raw to a temp file and returns its path.
-func (d *DirStorage) writeImage(rank int, raw []byte) (string, error) {
-	tmp := d.tmpPath(rank)
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		// WriteFile may fail after creating the file (short write on a full
-		// disk); an aborted stage must not leave the partial temp file behind.
-		os.Remove(tmp)
-		return "", fmt.Errorf("checkpoint: write %s: %w", tmp, err)
-	}
-	return tmp, nil
-}
-
-// Save writes the checkpoint atomically (write to temp file then rename).
-func (d *DirStorage) Save(cp *Checkpoint) error {
-	if err := cp.Validate(); err != nil {
-		return err
-	}
-	image, err := EncodeBuffer(cp)
-	if err != nil {
-		return err
-	}
-	commit, abort, err := d.StageImage(cp.Rank, image)
-	image.Release()
-	if err != nil {
-		return err
-	}
-	if err := commit(); err != nil {
-		abort()
-		return err
-	}
-	return nil
-}
-
-// StageImage implements WaveStorage: stage writes the temp file (the slow,
-// parallel part), commit renames it into place under the rank lock, abort
-// removes it.
-func (d *DirStorage) StageImage(rank int, image *buf.Buffer) (func() error, func(), error) {
-	tmp, err := d.writeImage(rank, image.Bytes())
-	if err != nil {
-		return nil, nil, err
-	}
-	committed := false
-	commit := func() error {
-		lk := d.lock(rank)
-		lk.Lock()
-		defer lk.Unlock()
-		if err := os.Rename(tmp, d.path(rank)); err != nil {
-			return fmt.Errorf("checkpoint: rename: %w", err)
-		}
-		committed = true
-		return nil
-	}
-	abort := func() {
-		if !committed {
-			os.Remove(tmp)
-		}
-	}
-	return commit, abort, nil
-}
-
-// Load reads the latest checkpoint of the rank from disk.
-func (d *DirStorage) Load(rank int) (*Checkpoint, bool, error) {
-	lk := d.lock(rank)
-	lk.Lock()
-	raw, err := os.ReadFile(d.path(rank))
-	lk.Unlock()
-	if os.IsNotExist(err) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("checkpoint: read: %w", err)
-	}
-	cp, err := Decode(raw)
-	if err != nil {
-		return nil, false, err
-	}
-	return cp, true, nil
-}
-
-// Ranks lists ranks with a checkpoint file.
-func (d *DirStorage) Ranks() ([]int, error) {
-	entries, err := os.ReadDir(d.dir)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: list: %w", err)
-	}
-	var out []int
-	for _, e := range entries {
-		var rank int
-		if _, err := fmt.Sscanf(e.Name(), "rank-%d.ckpt", &rank); err == nil && !isTmp(e.Name()) {
-			out = append(out, rank)
-		}
-	}
-	sort.Ints(out)
-	return out, nil
-}
-
-// isTmp reports whether the file name is a staged (uncommitted) image.
-func isTmp(name string) bool { return filepath.Ext(name) == ".tmp" }
-
 var (
 	_ Storage     = (*MemoryStorage)(nil)
-	_ Storage     = (*DirStorage)(nil)
 	_ WaveStorage = (*MemoryStorage)(nil)
-	_ WaveStorage = (*DirStorage)(nil)
 )

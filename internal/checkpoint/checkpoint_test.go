@@ -132,31 +132,6 @@ func TestMemoryStorage(t *testing.T) {
 	}
 }
 
-func TestDirStorage(t *testing.T) {
-	dir := t.TempDir()
-	st, err := NewDirStorage(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := st.Load(5); ok || err != nil {
-		t.Fatal("missing checkpoint should miss without error")
-	}
-	if err := st.Save(sampleCheckpoint(5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Save(sampleCheckpoint(1)); err != nil {
-		t.Fatal(err)
-	}
-	cp, ok, err := st.Load(5)
-	if err != nil || !ok || cp.Rank != 5 {
-		t.Fatalf("load from disk failed: %v %v %v", cp, ok, err)
-	}
-	ranks, err := st.Ranks()
-	if err != nil || len(ranks) != 2 || ranks[0] != 1 {
-		t.Fatalf("Ranks = %v, %v", ranks, err)
-	}
-}
-
 func TestPropertyEncodeDecodeAppState(t *testing.T) {
 	f := func(state []byte, iter uint8) bool {
 		cp := sampleCheckpoint(1)

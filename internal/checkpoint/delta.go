@@ -103,11 +103,9 @@ type DeltaPolicy struct {
 	MinGain float64
 }
 
-// DefaultDeltaPolicy is the committer default: chains of at most 8 waves and
-// a required 10% gain over the full image.
-func DefaultDeltaPolicy() DeltaPolicy { return DeltaPolicy{MaxChain: 8, MinGain: 0.9} }
-
-// Normalized returns the policy with zero fields replaced by defaults.
+// Normalized returns the policy with zero or out-of-range fields replaced by
+// the defaults: chains of at most 8 waves (MaxChain 8) and a required 10%
+// gain over the full image (MinGain 0.9).
 func (p DeltaPolicy) Normalized() DeltaPolicy { return p.normalized() }
 
 func (p DeltaPolicy) normalized() DeltaPolicy {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 )
@@ -338,8 +339,15 @@ func TestAllocGuardDeltaEncode(t *testing.T) {
 	reconstruct()
 
 	// measure returns allocations and bytes per call (AllocsPerRun makes one
-	// warm-up call besides the measured ones).
+	// warm-up call besides the measured ones). The pooled flate writers must
+	// be where the measured calls look for them. AllocsPerRun runs on one P,
+	// and a writer the earlier warm-up left in another P's private sync.Pool
+	// slot is invisible from there, so fn is warmed again on that one P first.
+	// The collector is off so a GC cannot empty the pool mid-measurement.
 	measure := func(fn func()) (allocs, bytesPerCall float64) {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		fn()
 		const calls = 50
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -1,10 +1,7 @@
 package checkpoint
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/buf"
@@ -117,127 +114,5 @@ func TestCaptureFormSaveAndRelease(t *testing.T) {
 	}
 	if string(back.Logs[0].Payload) != "xy" || string(back.Channels.Queued[0].Payload) != "abc" {
 		t.Fatal("stored image depends on released buffers")
-	}
-}
-
-// TestDirStorageStageCommitAbort exercises the two-phase path: staged images
-// are invisible until commit, aborted stages vanish, and parallel stages of
-// different ranks don't interfere.
-func TestDirStorageStageCommitAbort(t *testing.T) {
-	dir := t.TempDir()
-	st, err := NewDirStorage(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	imageOf := func(rank int) *buf.Buffer {
-		img, err := EncodeBuffer(sampleCheckpoint(rank))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return img
-	}
-
-	// Stage two ranks in parallel; neither is visible before commit.
-	type stagedPair struct {
-		commit func() error
-		abort  func()
-	}
-	staged := make([]stagedPair, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			img := imageOf(i)
-			defer img.Release()
-			commit, abort, err := st.StageImage(i, img)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			staged[i] = stagedPair{commit, abort}
-		}(i)
-	}
-	wg.Wait()
-	if ranks, _ := st.Ranks(); len(ranks) != 0 {
-		t.Fatalf("staged images already visible: %v", ranks)
-	}
-	if _, ok, _ := st.Load(0); ok {
-		t.Fatal("staged image loadable before commit")
-	}
-
-	if err := staged[0].commit(); err != nil {
-		t.Fatal(err)
-	}
-	staged[1].abort()
-	ranks, err := st.Ranks()
-	if err != nil || !reflect.DeepEqual(ranks, []int{0}) {
-		t.Fatalf("Ranks after commit+abort = %v, %v; want [0]", ranks, err)
-	}
-	cp, ok, err := st.Load(0)
-	if err != nil || !ok || cp.Rank != 0 {
-		t.Fatalf("committed checkpoint unreadable: %v %v %v", cp, ok, err)
-	}
-	// The aborted stage leaves no file behind.
-	entries, _ := os.ReadDir(dir)
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) == ".tmp" {
-			t.Fatalf("aborted stage left %s behind", e.Name())
-		}
-	}
-}
-
-// TestDirStorageAbortLeavesNoFiles is the regression test for the staged
-// temp-file leak: repeated stage/abort cycles — including a stage whose write
-// itself fails — must leave only committed checkpoint files in the directory.
-func TestDirStorageAbortLeavesNoFiles(t *testing.T) {
-	dir := t.TempDir()
-	st, err := NewDirStorage(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := EncodeBuffer(sampleCheckpoint(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer img.Release()
-
-	for i := 0; i < 5; i++ {
-		_, abort, err := st.StageImage(0, img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		abort()
-	}
-	commit, _, err := st.StageImage(0, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Force the write itself to fail mid-stage: the next temp path (the seq
-	// counter is at 6 after the stages above) is occupied by a directory, so
-	// os.WriteFile errors. The failed stage must clean up after itself.
-	planted := filepath.Join(dir, "rank-000000.ckpt.7.tmp")
-	if err := os.Mkdir(planted, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := st.StageImage(0, img); err == nil {
-		t.Fatal("stage over an unwritable temp path did not error")
-	}
-
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
-	}
-	if !reflect.DeepEqual(names, []string{"rank-000000.ckpt"}) {
-		t.Fatalf("directory after aborts = %v, want only the committed file", names)
 	}
 }

@@ -83,8 +83,9 @@ type TieredConfig struct {
 	// copies, and recovery falls back to it when the primary copy is missing
 	// or damaged.
 	Replica ColdStore
-	// Delta is the policy advertised to the committer. Zero value means
-	// DefaultDeltaPolicy.
+	// Delta is the policy advertised to the committer. Zero fields take
+	// DeltaPolicy's defaults: chains of at most 8 waves and a required 10%
+	// gain over the full image.
 	Delta DeltaPolicy
 	// SyncDemotion runs demotion and cold GC inline on the commit path
 	// instead of background goroutines. Deterministic harnesses (the chaos
@@ -642,7 +643,8 @@ func (m *MemColdStore) Ranks() ([]int, error) {
 }
 
 // DirColdStore is a directory-backed ColdStore: one subdirectory per rank,
-// one frame file per wave, written temp-then-rename like DirStorage.
+// one frame file per wave, written to a temp file and then renamed into
+// place.
 type DirColdStore struct {
 	dir string
 	mu  sync.Mutex
@@ -722,6 +724,9 @@ func (d *DirColdStore) Waves(rank int) ([]int, error) {
 	sort.Ints(out)
 	return out, nil
 }
+
+// isTmp reports whether the file name is a staged (not yet renamed) frame.
+func isTmp(name string) bool { return filepath.Ext(name) == ".tmp" }
 
 func (d *DirColdStore) Ranks() ([]int, error) {
 	entries, err := os.ReadDir(d.dir)

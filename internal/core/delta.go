@@ -8,8 +8,8 @@ import (
 )
 
 // The committer's delta pipeline. When the storage stack advertises a
-// DeltaPolicy (TieredStorage does; MemoryStorage/DirStorage do not, so their
-// byte streams are unchanged), each rank's wave is re-encoded as a codec-v3
+// DeltaPolicy (TieredStorage does; MemoryStorage does not, so its
+// byte stream is unchanged), each rank's wave is re-encoded as a codec-v3
 // frame against the rank's previous *published* full image before staging:
 // a delta frame when the chain is short and the gain clears the policy
 // threshold, a compressed or raw full frame otherwise. The base map advances

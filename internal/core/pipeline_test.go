@@ -269,7 +269,7 @@ func TestAllocGuardCheckpointCapture(t *testing.T) {
 			}
 			capture() // warm map/slice sizing paths
 			perOp := testing.AllocsPerRun(50, capture)
-			// 9–15 measured: snapshot maps and slices, the records slice, the
+			// 6–12 measured: snapshot maps and slices, the records slice, the
 			// refs slices. The guard leaves 2x slack; a payload copy per record
 			// (64) or a gob encode (hundreds) trips it immediately.
 			if perOp > 30 {

@@ -25,7 +25,8 @@ import (
 //
 // All methods are called from the owning rank's goroutine (the mpi.Protocol
 // contract), so the pattern and cutoff state needs no locking; the log store
-// has its own synchronization because replay daemons read it concurrently.
+// has its own synchronization because the recovery leader's injectReplays
+// reads it and the committer's log GC truncates it concurrently.
 //
 // The runtime holds the engine's EpochView of the active epoch: per-send
 // logging decisions are a slice lookup, and an epoch switch installs the

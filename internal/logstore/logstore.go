@@ -6,8 +6,9 @@
 //
 // The store is sharded by outgoing channel: every channel log carries its own
 // mutex, so the application thread appending on one channel never contends
-// with a replay daemon reading another, and the volume counters are atomics
-// so the accounting reads taken by the harness are lock-free. Payloads are
+// with the recovery leader's replay reading another or the committer's log
+// GC truncating a third, and the volume counters are atomics so the
+// accounting reads taken by the harness are lock-free. Payloads are
 // held as references into the runtime's pooled buffer fabric (internal/buf):
 // AppendShared retains the sender's single payload copy instead of cloning
 // it, and Truncate — log garbage collection after the destination cluster
@@ -84,8 +85,9 @@ func (c *channelLog) insert(e entry) bool {
 }
 
 // Store is a per-process sender-based message log. It is safe for concurrent
-// use by the application thread (appending) and the replay daemons (reading);
-// operations on different channels do not contend.
+// use by the application thread (appending), the recovery leader's
+// injectReplays (reading), the committer's log GC (truncating) and harness
+// readers (accounting); operations on different channels do not contend.
 type Store struct {
 	mu       sync.RWMutex // guards the channel map only
 	channels map[mpi.ChanKey]*channelLog

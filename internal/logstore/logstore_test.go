@@ -294,7 +294,7 @@ func TestConcurrentShardedUse(t *testing.T) {
 		}()
 	}
 	wg.Add(2)
-	go func() { // replay-daemon style reader
+	go func() { // recovery-replay style reader
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
 			for dst := 1; dst <= 4; dst++ {

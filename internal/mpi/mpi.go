@@ -21,8 +21,9 @@
 // interface: they stamp messages and requests with extra identifiers
 // (pattern, iteration), log payloads at send time, suppress sends during
 // recovery, and track delivery. The runtime additionally exposes the hooks
-// needed for recovery: channel-state snapshot/restore, replay injection, and
-// sender-side routing of channels through a replay daemon.
+// needed for recovery: channel-state snapshot/restore, and replay injection
+// (World.InjectReplay), through which the recovery leader re-delivers logged
+// inter-cluster messages to a rolled-back cluster.
 package mpi
 
 import (

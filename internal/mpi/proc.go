@@ -14,7 +14,7 @@ import (
 // inMessage is a message held by the destination process, either matched to a
 // request or sitting in the unexpected-message queue. Instances are recycled
 // through msgPool: the runtime releases a message (and the references it
-// holds) when it is consumed by a receive, dropped as a duplicate, purged, or
+// holds) when it is consumed by a receive, dropped as a duplicate, or
 // discarded by a channel restore.
 type inMessage struct {
 	env        Envelope
@@ -23,7 +23,7 @@ type inMessage struct {
 	arrival    uint64         // stamp ordering entries across unexpected queues
 	eager      bool
 	sendReq    *Request // rendezvous: sender's request, completed when the transfer finishes
-	replayed   bool     // injected by a recovery replay daemon
+	replayed   bool     // injected from a sender log by InjectReplay
 }
 
 // msgPool recycles inMessage headers so the steady-state eager path performs
@@ -50,7 +50,7 @@ type inChannelState struct {
 	// lower or equal sequence number are duplicates and are dropped.
 	maxSeqSeen uint64
 	// delivered is the number of messages delivered to the application on
-	// this channel; it drives the recovery flow control.
+	// this channel. It is part of every checkpointed channel snapshot.
 	delivered uint64
 }
 
@@ -58,10 +58,6 @@ type inChannelState struct {
 type outChannelState struct {
 	mu  sync.Mutex
 	seq uint64
-	// routed is true while a replay daemon owns transmission on this
-	// channel: the application's sends are logged but not transmitted here
-	// (the daemon transmits them from the log, preserving channel order).
-	routed bool
 }
 
 // ProcStats accumulates per-rank statistics used by the evaluation harness.
@@ -125,11 +121,12 @@ type ProcStatsView struct {
 // Wait/Test family) must be called from the rank's own goroutine (the one
 // started by World.Run): beyond the virtual clock, they share per-rank
 // scratch state (the stamping envelope, the collective scratch, the request
-// free list) that is deliberately unsynchronized. Protocol daemons interact with a Proc only
-// through the explicitly concurrent-safe methods (InjectReplay, SetRouted,
-// channel accessors, snapshot/restore helpers). A traced Proc records its
-// sends and delivers without any vector clock: the trace package derives
-// clocks from the recorded program orders when they are analysed.
+// free list) that is deliberately unsynchronized. Other goroutines touch a
+// Proc only through its concurrent-safe methods: the recovery leader's
+// injectReplays (World.InjectReplay, InState) and harness readers (Stats,
+// Now, the channel accessors). A traced Proc records its sends and delivers
+// without any vector clock: the trace package derives clocks from the
+// recorded program orders when they are analysed.
 type Proc struct {
 	world    *World
 	id       int
@@ -139,17 +136,15 @@ type Proc struct {
 	Stats ProcStats
 
 	mu sync.Mutex
-	// waiters are the parked callers blocked on p's state (the rank's own
-	// goroutine in Wait/Waitany/Probe, replay daemons in WaitDelivered).
-	// A waiter is deregistered at wake time and re-registers itself before
-	// sleeping again; see sched.go for the parking protocol.
-	waiters []*parker
-	// ownPark is the rank goroutine's reusable parker (blocking waits are
-	// rank-goroutine-only by contract, so one is always enough).
-	ownPark parker
+	// wake carries the one wake token of the rank's own goroutine, the only
+	// goroutine that ever blocks on p (Wait/Waitany/Probe). parked, guarded
+	// by mu, is set while it sleeps and cleared when the token is sent; see
+	// sched.go for the parking protocol.
+	wake   chan struct{}
+	parked bool
 	// wakeQueued coalesces shard-mailbox wakeups: set while the rank is
-	// sitting in its shard's queue, cleared by the shard loop before the
-	// waiter hand-off.
+	// sitting in its shard's queue, cleared by the shard loop before it
+	// hands out the wake token.
 	wakeQueued atomic.Bool
 	// unexp indexes received-but-unmatched messages by their concrete
 	// (source, comm, tag); arrivals stamps them so wildcard receives can
@@ -201,8 +196,8 @@ func newProc(w *World, id int) *Proc {
 		inState:  make(map[ChanKey]*inChannelState),
 		out:      make(map[ChanKey]*outChannelState),
 		collSeq:  make(map[int]uint64),
+		wake:     make(chan struct{}, 1),
 	}
-	p.ownPark.ch = make(chan struct{}, 1)
 	p.Stats.BytesToDst = make(map[int]uint64)
 	return p
 }
@@ -230,9 +225,6 @@ func (p *Proc) Protocol() Protocol { return p.protocol }
 
 // Now returns the process's current virtual time.
 func (p *Proc) Now() float64 { return p.clock.Now() }
-
-// SetClock forces the virtual clock (used when rolling back to a checkpoint).
-func (p *Proc) SetClock(t float64) { p.clock.Set(t) }
 
 // Compute advances the virtual clock by the given computation time (seconds)
 // and accounts it as computation in the statistics.
@@ -306,7 +298,6 @@ func (p *Proc) isend(buf []byte, dstWorld, tag int, comm *Comm) (*Request, error
 	out.mu.Lock()
 	out.seq++
 	seq := out.seq
-	routed := out.routed
 	out.mu.Unlock()
 
 	p.stampEnv = Envelope{
@@ -338,8 +329,8 @@ func (p *Proc) isend(buf []byte, dstWorld, tag int, comm *Comm) (*Request, error
 	now := p.clock.Now()
 
 	// Statistics and trace are recorded for the logical send regardless of
-	// whether the bytes are physically transmitted here (a suppressed or
-	// routed send is still a send of the application).
+	// whether the bytes are physically transmitted (a suppressed send is
+	// still a send of the application).
 	p.Stats.mu.Lock()
 	p.Stats.Sends++
 	p.Stats.BytesSent += uint64(len(buf))
@@ -362,10 +353,10 @@ func (p *Proc) isend(buf []byte, dstWorld, tag int, comm *Comm) (*Request, error
 		})
 	}
 
-	if !transmit || routed {
-		// Suppressed (recovery re-execution, Algorithm 1 line 7) or routed
-		// through a replay daemon: the send request completes locally. The
-		// log holds its own reference if the message was logged.
+	if !transmit {
+		// Suppressed (recovery re-execution, Algorithm 1 line 7): the send
+		// request completes locally. The log holds its own reference if the
+		// message was logged.
 		pb.Release()
 		p.mu.Lock()
 		p.completeLocked(req, now, Status{})
@@ -430,11 +421,12 @@ func completeSenders(senders []heldSender) {
 }
 
 // deliverMessage places a message arriving on one of p's incoming channels.
-// It is called from the sender's goroutine or from a replay daemon. Any
-// rendezvous sender request that becomes complete is completed after p's lock
-// is released to keep the lock order acyclic. Under a network-chaos hold rule
-// the message is parked in the hold buffer instead; replayed messages bypass
-// holding (recovery replay owns its own ordering).
+// It is called from the sender's goroutine or, through InjectReplay, from the
+// recovery leader's goroutine. Any rendezvous sender request that becomes
+// complete is completed after p's lock is released to keep the lock order
+// acyclic. Under a network-chaos hold rule the message is parked in the hold
+// buffer instead; replayed messages bypass holding (recovery replay owns its
+// own ordering).
 func (p *Proc) deliverMessage(msg *inMessage) {
 	var senders []heldSender
 
@@ -816,7 +808,7 @@ func (p *Proc) Wait(req *Request) (Status, error) {
 			p.mu.Lock()
 			continue
 		}
-		p.sleepLocked(&p.ownPark)
+		p.sleepLocked()
 	}
 	p.mu.Unlock()
 	return p.finalize(req, before)
@@ -892,7 +884,7 @@ func (p *Proc) Waitany(reqs []*Request) (int, Status, error) {
 			completeSenders(senders)
 			continue
 		}
-		p.sleepLocked(&p.ownPark)
+		p.sleepLocked()
 		p.mu.Unlock()
 	}
 }
@@ -1039,7 +1031,7 @@ func (p *Proc) Probe(src, tag int, comm *Comm) (Status, error) {
 			completeSenders(senders)
 			continue
 		}
-		p.sleepLocked(&p.ownPark)
+		p.sleepLocked()
 		p.mu.Unlock()
 	}
 }

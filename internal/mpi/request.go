@@ -35,9 +35,6 @@ type Request struct {
 	next *Request // free-list link while the request is recycled
 }
 
-// IsSend reports whether the request is a send request.
-func (r *Request) IsSend() bool { return r.kind == reqSend }
-
 // Done reports whether the request has completed (it does not finalize the
 // request; use Wait or Test for that).
 func (r *Request) Done() bool {

@@ -14,16 +14,16 @@ import (
 //
 // The new shape splits parking from waking:
 //
-//   - A blocked caller parks on a parker: a 1-buffered channel registered
-//     in the Proc's waiter list under p.mu. The rank's own goroutine reuses
-//     a single embedded parker for its whole lifetime (Wait/Waitany/Probe
-//     are rank-goroutine-only by contract), so steady-state blocking is
-//     allocation-free; replay daemons borrow pooled parkers.
+//   - Only the rank's own goroutine ever blocks on a Proc (Wait/Waitany/
+//     Probe are rank-goroutine-only by contract), so a Proc has one waiter:
+//     it sets p.parked under p.mu and parks on p.wake, a 1-buffered channel
+//     allocated once with the Proc, so steady-state blocking is
+//     allocation-free.
 //
 //   - A state change calls notifyLocked. With a scheduler installed the
 //     rank is appended to its shard's mailbox (coalesced by a per-Proc
 //     wakeQueued flag — a rank already queued is not queued twice) and the
-//     shard's worker loop performs the actual waiter hand-off. Ranks are
+//     shard's worker loop hands the parked rank its wake token. Ranks are
 //     batched onto min(GOMAXPROCS·shardFactor, size) shard loops in
 //     contiguous blocks, so a burst of deliveries wakes each shard once
 //     and the wake fan-out runs on a bounded number of loops instead of
@@ -37,33 +37,11 @@ import (
 // matching decisions are made by the sender's call order in virtual time,
 // so routing wakes through shard loops cannot change matching order or any
 // simulated result. WithShards(-1) selects the legacy direct-wake path
-// (waiters are woken inline at the notify site); the scheduler tests use
-// it to cross-check bit-identical digests.
+// (the parked rank is woken inline at the notify site); the scheduler tests
+// use it to cross-check bit-identical digests.
 
 // shardFactor scales the number of shard loops per GOMAXPROCS.
 const shardFactor = 4
-
-// parker is a single parked waiter: a 1-buffered channel that coalesces
-// wake tokens. A token is only ever sent while the parker is registered in
-// a Proc's waiter list, and registration is removed at send time, so at
-// most one token is outstanding and the owner always consumes it.
-type parker struct {
-	ch chan struct{}
-}
-
-var parkerPool = sync.Pool{
-	New: func() any { return &parker{ch: make(chan struct{}, 1)} },
-}
-
-func getParker() *parker { return parkerPool.Get().(*parker) }
-
-func putParker(pk *parker) {
-	select { // defensive drain; the protocol leaves the channel empty
-	case <-pk.ch:
-	default:
-	}
-	parkerPool.Put(pk)
-}
 
 // shard is one mailbox + worker loop owning a contiguous block of ranks.
 type shard struct {
@@ -124,8 +102,7 @@ func (s *scheduler) start(body func(rank int)) {
 }
 
 // stop shuts the shard loops down after every rank body has returned.
-// Pending mailbox entries are drained first so a late daemon wake is never
-// dropped.
+// Pending mailbox entries are drained first so no posted wake is dropped.
 func (s *scheduler) stop() {
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -201,51 +178,51 @@ func (s *scheduler) loop(sh *shard) {
 	}
 }
 
-// wake hands tokens to every parked waiter of p. Clearing wakeQueued
-// *before* taking p.mu closes the lost-wakeup window: a notify that races
-// with the drain either finds wakeQueued still set (its state change
-// happened under p.mu before this wake acquires it, so the woken waiter
+// wake hands p's wake token to its parked rank goroutine. Clearing
+// wakeQueued *before* taking p.mu closes the lost-wakeup window: a notify
+// that races with the drain either finds wakeQueued still set (its state
+// change happened under p.mu before this wake acquires it, so the woken rank
 // observes it) or re-queues the rank.
 func (s *scheduler) wake(p *Proc) {
 	p.wakeQueued.Store(false)
 	p.mu.Lock()
-	p.wakeWaitersLocked()
+	p.wakeLocked()
 	p.mu.Unlock()
 }
 
-// sleepLocked parks the calling goroutine on pk until the next wake of p.
+// sleepLocked parks the rank's own goroutine until the next wake of p.
 // Caller holds p.mu; it is released while parked and re-acquired before
 // returning. Returns may be spurious — callers re-check their predicate in
 // a loop, exactly as with the condition variable this replaces.
-func (p *Proc) sleepLocked(pk *parker) {
-	p.waiters = append(p.waiters, pk)
+func (p *Proc) sleepLocked() {
+	p.parked = true
 	p.mu.Unlock()
-	<-pk.ch
+	<-p.wake
 	p.mu.Lock()
 }
 
-// wakeWaitersLocked hands a token to every registered waiter and clears
-// the list. Caller holds p.mu.
-func (p *Proc) wakeWaitersLocked() {
-	for i, pk := range p.waiters {
-		select {
-		case pk.ch <- struct{}{}:
-		default:
-		}
-		p.waiters[i] = nil
+// wakeLocked hands the wake token to the parked rank goroutine, if any. The
+// token is only sent while p.parked is set, and parked is cleared at send
+// time, so at most one token is outstanding, the rank always consumes it
+// before it parks again, and the send never blocks. Caller holds p.mu.
+func (p *Proc) wakeLocked() {
+	if !p.parked {
+		return
 	}
-	p.waiters = p.waiters[:0]
+	p.parked = false
+	p.wake <- struct{}{}
 }
 
 // notifyLocked signals that state guarded by p.mu changed. With a
 // scheduler installed the wake rides p's shard mailbox; otherwise (legacy
-// mode, or outside World.Run) waiters are woken inline. Caller holds p.mu.
+// mode, or outside World.Run) the parked rank is woken inline. Caller holds
+// p.mu.
 func (p *Proc) notifyLocked() {
-	if len(p.waiters) == 0 {
+	if !p.parked {
 		return
 	}
 	if s := p.world.sched.Load(); s != nil && s.post(p) {
 		return
 	}
-	p.wakeWaitersLocked()
+	p.wakeLocked()
 }

@@ -1,18 +1,18 @@
 package mpi
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	bufpkg "repro/internal/buf"
 )
 
 // This file contains the recovery-support surface of the runtime: channel
-// state snapshot/restore (used by coordinated checkpointing and rollback),
-// replay injection (used by the sender-based log replay daemons), sender-side
-// channel routing (so a replay daemon can own transmission on a channel and
-// preserve per-channel FIFO order during recovery), and channel accessors
-// used by the recovery flow control.
+// state snapshot/restore (used by checkpoint capture and rollback), replay
+// injection (used by the recovery leader's injectReplays to re-deliver
+// sender-logged messages), and the channel accessors recovery reads to place
+// suppression cutoffs and replay starts.
 
 // InChannelState is the externally visible per-incoming-channel state.
 type InChannelState struct {
@@ -64,7 +64,6 @@ func (p *Proc) SnapshotChannelsShared() (*ChannelSnapshot, []*bufpkg.Buffer, err
 		return nil, nil, ErrPendingRequests
 	}
 	snap := &ChannelSnapshot{
-		Out:     make(map[ChanKey]uint64),
 		In:      make(map[ChanKey]InChannelState, len(p.inState)),
 		CollSeq: make(map[int]uint64, len(p.collSeq)),
 		Clock:   p.clock.Now(),
@@ -73,12 +72,12 @@ func (p *Proc) SnapshotChannelsShared() (*ChannelSnapshot, []*bufpkg.Buffer, err
 		snap.In[k] = InChannelState{MaxSeqSeen: st.maxSeqSeen, Delivered: st.delivered}
 	}
 	// Reconstruct global arrival order across the indexed unexpected queues
-	// from the arrival stamps.
+	// from the arrival stamps, which are unique.
 	queued := make([]*inMessage, 0, p.unexpN)
 	for _, q := range p.unexp.rings {
 		queued = append(queued, q.items[q.head:]...)
 	}
-	sort.Slice(queued, func(i, j int) bool { return queued[i].arrival < queued[j].arrival })
+	slices.SortFunc(queued, func(a, b *inMessage) int { return cmp.Compare(a.arrival, b.arrival) })
 	var refs []*bufpkg.Buffer
 	if len(queued) > 0 {
 		refs = make([]*bufpkg.Buffer, 0, len(queued))
@@ -96,6 +95,7 @@ func (p *Proc) SnapshotChannelsShared() (*ChannelSnapshot, []*bufpkg.Buffer, err
 		snap.CollSeq[c] = s
 	}
 	p.outMu.Lock()
+	snap.Out = make(map[ChanKey]uint64, len(p.out))
 	for k, st := range p.out {
 		st.mu.Lock()
 		snap.Out[k] = st.seq
@@ -161,60 +161,10 @@ func (p *Proc) RestoreChannels(snap *ChannelSnapshot, keepQueued func(QueuedMess
 		st.mu.Lock()
 		st.seq = snap.Out[k] // zero if the channel did not exist at snapshot
 		st.mu.Unlock()
-		_ = k
 	}
 	p.outMu.Unlock()
 
 	p.clock.Set(snap.Clock)
-}
-
-// PurgeChannel removes from the unexpected queue every non-replayed message
-// received from the given world source on the given communicator. It is used
-// by a recovering process when it learns (from the lastMessage reply) that
-// the peer's replay daemon will re-deliver the channel's content in order:
-// any directly transmitted stray received in the meantime would otherwise be
-// out of order with respect to the replayed messages. Returns the number of
-// purged messages.
-func (p *Proc) PurgeChannel(srcWorld, commID int) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	// Strays parked in the chaos hold buffer are purged like queued ones (they
-	// are counted separately: unexpN tracks only the indexed queues).
-	heldPurged := 0
-	keptHeld := p.held[:0]
-	for _, m := range p.held {
-		if m.env.Source == srcWorld && m.env.CommID == commID && !m.replayed {
-			heldPurged++
-			releaseMsg(m)
-			continue
-		}
-		keptHeld = append(keptHeld, m)
-	}
-	p.held = keptHeld
-	purged := 0
-	for k, q := range p.unexp.rings {
-		if k.source != srcWorld || k.comm != commID {
-			continue
-		}
-		live := q.items[q.head:]
-		kept := q.items[:0]
-		for _, msg := range live {
-			if !msg.replayed {
-				purged++
-				releaseMsg(msg)
-				continue
-			}
-			kept = append(kept, msg)
-		}
-		for i := len(kept); i < len(q.items); i++ {
-			q.items[i] = nil
-		}
-		q.items = kept
-		q.head = 0
-		p.unexp.retireIfEmpty(k, q)
-	}
-	p.unexpN -= purged
-	return purged + heldPurged
 }
 
 // InState returns the incoming-channel bookkeeping for (src world rank, comm).
@@ -226,17 +176,6 @@ func (p *Proc) InState(srcWorld, commID int) InChannelState {
 		return InChannelState{}
 	}
 	return InChannelState{MaxSeqSeen: st.maxSeqSeen, Delivered: st.delivered}
-}
-
-// InChannels returns the keys of all incoming channels seen so far.
-func (p *Proc) InChannels() []ChanKey {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	keys := make([]ChanKey, 0, len(p.inState))
-	for k := range p.inState {
-		keys = append(keys, k)
-	}
-	return keys
 }
 
 // OutChannels returns the keys of all outgoing channels used so far.
@@ -259,62 +198,10 @@ func (p *Proc) OutSeq(dstWorld, commID int) uint64 {
 	return st.seq
 }
 
-// SetRouted marks or unmarks the outgoing channel to dstWorld/commID as owned
-// by a replay daemon. While routed, application sends on the channel are
-// logged (through the protocol) but not transmitted by the application
-// thread; the daemon transmits them from the log in sequence order.
-func (p *Proc) SetRouted(dstWorld, commID int, routed bool) {
-	st := p.outChannel(dstWorld, commID)
-	st.mu.Lock()
-	st.routed = routed
-	st.mu.Unlock()
-}
-
-// Routed reports whether the outgoing channel is currently routed through a
-// replay daemon, together with the last assigned sequence number.
-func (p *Proc) Routed(dstWorld, commID int) (bool, uint64) {
-	st := p.outChannel(dstWorld, commID)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.routed, st.seq
-}
-
-// WaitDelivered blocks until the process has delivered at least minDelivered
-// messages on the incoming channel from srcWorld/commID, or the world stops.
-// It is used by replay daemons to implement the recovery flow control
-// (Section 5.2.2: a bounded number of replayed messages are pre-posted ahead
-// of the recovering process's consumption).
-func (p *Proc) WaitDelivered(srcWorld, commID int, minDelivered uint64) {
-	key := ChanKey{Peer: srcWorld, Comm: commID}
-	// Replay daemons are not the rank's own goroutine, so they park on a
-	// pooled parker instead of p.ownPark (several daemons may block on the
-	// same Proc concurrently with its own fiber).
-	pk := getParker()
-	defer putParker(pk)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		st, ok := p.inState[key]
-		if ok && st.delivered >= minDelivered {
-			return
-		}
-		if p.world.Stopped() {
-			return
-		}
-		if senders, flushed := p.flushHeldLocked(); flushed {
-			p.mu.Unlock()
-			completeSenders(senders)
-			p.mu.Lock()
-			continue
-		}
-		p.sleepLocked(pk)
-	}
-}
-
-// InjectReplay delivers a message on behalf of a replay daemon. The message
+// InjectReplay delivers a message replayed from a sender log. The message
 // becomes available to the destination at availTime (virtual time); it is
-// marked as replayed so that the destination's purge logic and duplicate
-// suppression can distinguish it from directly transmitted messages.
+// marked as replayed so that it bypasses network-chaos holding. A replay
+// overlapping a direct transmission is dropped by the duplicate filter.
 func (w *World) InjectReplay(env Envelope, payload []byte, availTime float64) error {
 	if env.Dest < 0 || env.Dest >= w.size {
 		return fmt.Errorf("mpi: replay destination %d out of range", env.Dest)

@@ -63,7 +63,7 @@ func WithNetChaos(n *simnet.NetChaos) Option {
 // WithShards sets the number of shard loops the wake scheduler batches
 // ranks onto during Run. 0 (the default) auto-sizes to
 // min(GOMAXPROCS·shardFactor, size); a negative value disables the
-// scheduler entirely and wakes waiters inline at the notify site (the
+// scheduler entirely and wakes parked ranks inline at the notify site (the
 // goroutine-per-rank legacy path, kept for bit-identical cross-checks).
 func WithShards(n int) Option {
 	return func(w *World) { w.shardOpt = n }
@@ -161,7 +161,7 @@ func (w *World) Stopped() bool {
 // Abort marks the world as stopped and wakes every blocked process so the
 // run can terminate with ErrWorldStopped instead of hanging. With the
 // shard scheduler active the caller's cost is O(shards) — one abort token
-// per mailbox — and the world-sized waiter sweep runs on the shard loops.
+// per mailbox — and the world-sized wake sweep runs on the shard loops.
 func (w *World) Abort() {
 	w.stopped.Store(true)
 	if s := w.sched.Load(); s != nil {
@@ -170,7 +170,7 @@ func (w *World) Abort() {
 	}
 	for _, p := range w.procs {
 		p.mu.Lock()
-		p.wakeWaitersLocked()
+		p.wakeLocked()
 		p.mu.Unlock()
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/stats"
@@ -84,15 +83,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	raw = append(raw, '\n')
 	_, err = w.Write(raw)
 	return err
-}
-
-// WriteJSONFile writes the JSON report to a file.
-func (r *Report) WriteJSONFile(path string) error {
-	raw, err := r.JSON()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }
 
 // ReadReport parses a report written by WriteJSON.

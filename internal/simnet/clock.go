@@ -8,8 +8,8 @@ import (
 // Clock is a per-rank logical clock measured in virtual seconds. It sits on
 // every send/receive hot path, so it is lock-free: the time is stored as the
 // IEEE-754 bit pattern of a float64 in one atomic word. The owning rank is
-// the only writer (the mpi.Proc contract), while protocol daemons and
-// statistics collectors read it concurrently; the CAS loops below therefore
+// the only writer (the mpi.Proc contract), while statistics collectors and
+// other harness readers read it concurrently; the CAS loops below therefore
 // never contend in practice and exist only to keep the type safe under
 // arbitrary concurrent use.
 type Clock struct {

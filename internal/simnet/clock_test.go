@@ -103,7 +103,7 @@ func BenchmarkClock(b *testing.B) {
 			_ = c.Now()
 		}
 	})
-	// Contended read side: stats collectors and replay daemons poll Now
+	// Contended read side: stats collectors and harness readers poll Now
 	// while the owner advances. The atomic clock must not serialize them.
 	b.Run("atomic/parallel-now", func(b *testing.B) {
 		var c Clock
