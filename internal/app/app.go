@@ -14,6 +14,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"repro/internal/model"
+	"repro/internal/mpi"
 )
 
 // encodeFloats serializes a float64 slice (length-prefixed, little endian).
@@ -52,6 +55,18 @@ func decodeFloats(buf []byte) ([]float64, []byte, error) {
 // putFloat appends one float64.
 func putFloat(buf []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+}
+
+// waitAll waits for the requests one by one. It is Waitall without the
+// status slice, which every kernel discards; the variadic array stays on the
+// caller's stack.
+func waitAll(p model.Process, reqs ...*mpi.Request) error {
+	for _, r := range reqs {
+		if _, err := p.Wait(r); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // getFloat reads one float64 and returns the remaining bytes.

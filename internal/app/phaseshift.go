@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/model"
-	"repro/internal/mpi"
 )
 
 // Phase-shift message tags, disjoint from the ring tags so the two traffic
@@ -120,7 +119,7 @@ func (ps *PhaseShift) haloStep() error {
 		if err != nil {
 			return err
 		}
-		if _, err := p.Waitall([]*mpi.Request{rl, rr, sr, sl}); err != nil {
+		if err := waitAll(p, rl, rr, sr, sl); err != nil {
 			return err
 		}
 		var rest []byte
@@ -172,7 +171,7 @@ func (ps *PhaseShift) shiftStep() error {
 	if err != nil {
 		return err
 	}
-	if _, err := p.Waitall([]*mpi.Request{rr, sr}); err != nil {
+	if err := waitAll(p, rr, sr); err != nil {
 		return err
 	}
 	in, _, err := decodeFloats(recvBuf)

@@ -98,7 +98,7 @@ func (r *Ring) Step(iter int) error {
 	if err != nil {
 		return err
 	}
-	if _, err := p.Waitall([]*mpi.Request{rl, rr, sr, sl}); err != nil {
+	if err := waitAll(p, rl, rr, sr, sl); err != nil {
 		return err
 	}
 

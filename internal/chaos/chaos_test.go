@@ -98,6 +98,39 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestGeneratedChainsStayInsideArmingWindow compiles seeds 1–500 of both
+// profiles and checks every fault chained into the first recovery against
+// that recovery's boundary: the earliest plan crash or capture-chained crash.
+// A chained fault past it is rejected by the engine, which fails the seed.
+func TestGeneratedChainsStayInsideArmingWindow(t *testing.T) {
+	for name, p := range map[string]Profile{"default": DefaultProfile(), "net": NetProfile()} {
+		for seed := int64(1); seed <= 500; seed++ {
+			sc := Generate(seed, p)
+			if err := sc.normalize(); err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			c, err := compile(&sc)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			arming := sc.Steps
+			for _, f := range c.faults {
+				arming = min(arming, f.Iteration)
+			}
+			for _, ev := range sc.Events {
+				if ac, ok := ev.(afterCapture); ok {
+					arming = min(arming, ac.Wave*sc.Interval)
+				}
+			}
+			for _, f := range c.armed {
+				if f.Iteration > arming {
+					t.Fatalf("%s seed %d: chained fault %+v lands past its arming boundary %d:\n%s", name, seed, f, arming, FormatScenario(sc))
+				}
+			}
+		}
+	}
+}
+
 func TestGeneratedSeedsPassInvariants(t *testing.T) {
 	p := DefaultProfile()
 	for seed := int64(0); seed < 4; seed++ {
@@ -190,5 +223,17 @@ func TestGeneratedNetSeedsPassInvariants(t *testing.T) {
 		if !res.Passed {
 			t.Fatalf("generated net seed %d violated invariants: %v (run error: %q)", seed, res.Violations, res.RunError)
 		}
+	}
+}
+
+// TestGeneratedNetSeed80 is a capture-chained crash under network delay and
+// reorder on full-log: AfterCapture(3, 3)'s hook fires inside rank 3's wave
+// exit barrier while another rank has already checked that boundary and
+// stepped on. Placing the fault there stranded that rank mid-step on a
+// neighbour parked at the rendezvous; the engine now moves the fault to the
+// first boundary no rank has checked.
+func TestGeneratedNetSeed80(t *testing.T) {
+	if res := Check(Generate(80, NetProfile())); !res.Passed {
+		t.Fatalf("generated net seed 80 violated invariants: %v (run error: %q)", res.Violations, res.RunError)
 	}
 }

@@ -136,21 +136,17 @@ func Generate(seed int64, p Profile) Scenario {
 		crashes = append(crashes, f)
 		sc.Events = append(sc.Events, NodeCrash(f.Rank, f.Iteration))
 	}
+	firstCrash := crashes[0].Iteration
+	for _, f := range crashes[1:] {
+		firstCrash = min(firstCrash, f.Iteration)
+	}
 
-	// A cascade chains into the first recovery. The chained fault lands at
-	// the arming boundary itself (the earliest crash iteration): that is the
-	// one iteration where any rank is a legal target — below it the engine
-	// rejects targets outside the recovering group, whose logs are still
-	// being re-filled.
-	if rng.Float64() < p.CascadeProb {
-		minIter := crashes[0].Iteration
-		for _, f := range crashes[1:] {
-			if f.Iteration < minIter {
-				minIter = f.Iteration
-			}
-		}
+	// A cascade chains into the first recovery at the arming boundary itself
+	// (the earliest crash iteration), the latest iteration its window admits.
+	cascade := rng.Float64() < p.CascadeProb
+	if cascade {
 		for {
-			f := core.Fault{Rank: rng.Intn(p.Ranks), Iteration: minIter}
+			f := core.Fault{Rank: rng.Intn(p.Ranks), Iteration: firstCrash}
 			if !used[[2]int{f.Rank, f.Iteration}] {
 				used[[2]int{f.Rank, f.Iteration}] = true
 				sc.Events = append(sc.Events, During(Recovery, f))
@@ -182,21 +178,23 @@ func Generate(seed int64, p Profile) Scenario {
 	// A chained crash armed from a lifecycle hook: either the completion of
 	// the first recovery or a checkpoint capture. Both need a boundary the
 	// chained fault can land on; the draw is skipped (but still consumed)
-	// when the run shape has none.
+	// when the run shape has none. Under a cascade the capture chain starts
+	// at the first wave at or after the arming boundary: an earlier crash
+	// would become the first recovery, whose window the cascade then misses.
 	if rng.Float64() < p.ChainProb {
 		rank := rng.Intn(p.Ranks)
 		if rng.Intn(2) == 0 {
-			minIter := crashes[0].Iteration
-			for _, f := range crashes[1:] {
-				if f.Iteration < minIter {
-					minIter = f.Iteration
-				}
-			}
-			if (minIter/p.Interval+1)*p.Interval < p.Steps {
+			if (firstCrash/p.Interval+1)*p.Interval < p.Steps {
 				sc.Events = append(sc.Events, AfterRecovery(rank))
 			}
 		} else if maxWave := (p.Steps - 1) / p.Interval; maxWave >= 1 {
-			sc.Events = append(sc.Events, AfterCapture(rank, 1+rng.Intn(maxWave)))
+			wave := 1 + rng.Intn(maxWave)
+			if cascade {
+				wave = max(wave, (firstCrash+p.Interval-1)/p.Interval)
+			}
+			if wave <= maxWave {
+				sc.Events = append(sc.Events, AfterCapture(rank, wave))
+			}
 		}
 	}
 

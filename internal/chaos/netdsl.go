@@ -289,10 +289,10 @@ func (a afterCapture) apply(sc *Scenario, c *compilation) error {
 		}
 		// The firing rank is still inside the wave's exit barrier at this
 		// boundary, so the boundary's fault rendezvous is ahead of its whole
-		// cluster; other clusters drain the event at their next boundary. A
-		// post-rollback re-capture can sit behind an already-processed event,
-		// in which case the engine rejects the boundary (the schedule's
-		// processed prefix is immutable) — then the next capture retries;
+		// cluster. A rank of another cluster may already have checked the
+		// boundary and stepped on; the engine then moves the fault to the
+		// first boundary no rank has checked. When the run has no such
+		// boundary left it rejects the fault and the next capture retries;
 		// mustFire reports the scenario that never finds a boundary.
 		if err := e.ScheduleFault(core.Fault{Rank: rank, Iteration: info.Iteration}); err != nil {
 			return

@@ -15,7 +15,8 @@ func TestScenarioWorldCrash(t *testing.T) {
 	if res.RecoveryEvents != 1 {
 		t.Fatalf("recovery events = %d, want 1 (one correlated world failure)", res.RecoveryEvents)
 	}
-	if res.ReplayedRecords != 0 {
-		t.Fatalf("replayed %d records: with no surviving cluster there is nobody to replay from", res.ReplayedRecords)
-	}
+	// Which wave each cluster restores depends on how far its newer wave had
+	// drained; the replay count follows from that, not from the absence of
+	// a surviving cluster.
+	checkSameLineReplays(t, res)
 }

@@ -39,6 +39,76 @@ func Catalog() []Scenario {
 			Events: []Event{ClusterCrash(0, 3), ClusterCrash(1, 3)},
 		},
 		{
+			// Both clusters fail at one boundary, but cluster 1's newer wave
+			// is still draining: cluster 0 restores its iteration-2 wave and
+			// cluster 1 its iteration-0 wave. Cluster 0's log is then the only
+			// source of the messages cluster 1 must receive again, and cluster
+			// 1's re-sends that cluster 0 already holds must be suppressed.
+			Name: "co-failed-clusters-mixed-lines",
+			Events: []Event{
+				ClusterCrash(0, 3),
+				During(CommitDrain, core.Fault{Rank: 2, Iteration: 3}),
+				During(CommitDrain, core.Fault{Rank: 3, Iteration: 3}),
+			},
+		},
+		{
+			// The same failure with the lines swapped: the cluster holding
+			// the recovery leader restores the older wave.
+			Name: "co-failed-clusters-mixed-lines-reversed",
+			Events: []Event{
+				During(CommitDrain, core.Fault{Rank: 0, Iteration: 3}),
+				During(CommitDrain, core.Fault{Rank: 1, Iteration: 3}),
+				ClusterCrash(1, 3),
+			},
+		},
+		{
+			// Three clusters fail at one boundary and restore three different
+			// waves: cluster 0 its newest, cluster 1 the one before (its newest
+			// stalls in staging), cluster 2 its first (its later waves are
+			// held draining). Every inter-cluster channel has two rolled-back
+			// ends on different lines.
+			Name:      "co-failed-clusters-three-lines",
+			Ranks:     6,
+			ClusterOf: []int{0, 0, 1, 1, 2, 2},
+			Events: []Event{
+				ClusterCrash(0, 5),
+				ClusterCrash(1, 5),
+				StorageFault(checkpoint.FaultRule{Op: checkpoint.OpStage, Mode: checkpoint.ModeStall, Rank: 2, After: 2, Count: 1, Delay: 200 * time.Millisecond}),
+				During(CommitDrain, core.Fault{Rank: 4, Iteration: 5}),
+				During(CommitDrain, core.Fault{Rank: 5, Iteration: 5}),
+			},
+		},
+		{
+			// Mixed lines under full sender-based logging: two ranks fail at
+			// one boundary and rank 2's newest wave stalls in staging, so it
+			// restores an older wave than rank 1 while both roll back.
+			Name:     "co-failed-ranks-mixed-lines-full-log",
+			Protocol: runner.ProtocolFullLog,
+			Events: []Event{
+				NodeCrash(1, 5),
+				NodeCrash(2, 5),
+				StorageFault(checkpoint.FaultRule{Op: checkpoint.OpStage, Mode: checkpoint.ModeStall, Rank: 2, After: 2, Count: 1, Delay: 200 * time.Millisecond}),
+			},
+		},
+		{
+			// Mixed lines behind an epoch switch: the phase-shift kernel makes
+			// the adaptive controller repartition at iteration 4, then one
+			// node of each new group fails at iteration 7. Rank 2's wave at
+			// iteration 6 stalls in staging, so its group restores the
+			// epoch's opening wave while the other group restores iteration 6.
+			Name:         "co-failed-clusters-mixed-lines-adaptive",
+			Protocol:     runner.ProtocolSPBCAdaptive,
+			Ranks:        8,
+			RanksPerNode: 2,
+			ClusterOf:    []int{0, 0, 0, 0, 1, 1, 1, 1},
+			Workload:     Workload{Kind: "phase-shift"},
+			Events: []Event{
+				NodeCrash(0, 7),
+				NodeCrash(2, 7),
+				StorageFault(checkpoint.FaultRule{Op: checkpoint.OpStage, Mode: checkpoint.ModeStall, Rank: 2, After: 3, Count: 1, Delay: 200 * time.Millisecond}),
+			},
+		},
+		{
 			// A cascading failure: the second crash is armed during the
 			// first one's recovery and lands in the other cluster at the
 			// first failure's boundary, the instant its replay drains.

@@ -5,8 +5,10 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/app"
 	"repro/internal/buf"
 	"repro/internal/logstore"
+	"repro/internal/model"
 	"repro/internal/mpi"
 	"repro/internal/simnet"
 )
@@ -283,5 +285,51 @@ func TestAllocGuardCollectives(t *testing.T) {
 			t.Errorf("%s allocates %.2f objects per rank per call, want <= %.1f: "+
 				"a per-fragment request, working vector or match-index key is back", o.name, got, ceiling)
 		}
+	}
+}
+
+// TestAllocGuardRingStep pins the steady-state halo step of the ring kernel
+// on the native process: 8 objects per rank per step, the four request
+// headers and the four 8-byte halo buffers the kernel builds. It measured 10
+// while the kernel completed its requests with Waitall, whose status slice
+// (and the request slice passed through the interface) every kernel
+// discarded.
+func TestAllocGuardRingStep(t *testing.T) {
+	skipAllocGuardUnderRace(t)
+	const ranks, steps, ceiling = 8, 200, 8.5
+	w, err := mpi.NewWorld(ranks, simnet.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps := make([]model.App, ranks)
+	for r := range apps {
+		apps[r] = app.NewRing(16, 0)()
+	}
+	if err := w.Run(func(p *mpi.Proc) error { return apps[p.Rank()].Init(model.NewNativeProcess(p)) }); err != nil {
+		t.Fatal(err)
+	}
+	// allocs is one world run of n steps on every rank; the difference of
+	// two run lengths cancels World.Run's fixed cost.
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			err := w.Run(func(p *mpi.Proc) error {
+				for i := 0; i < n; i++ {
+					if err := apps[p.Rank()].Step(i); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	allocs(steps) // warm every rank's channels, rings and pools
+	got := (allocs(steps) - allocs(0)) / (steps * ranks)
+	t.Logf("ring step: %.3f allocs per rank on %d ranks", got, ranks)
+	if got > ceiling {
+		t.Errorf("ring step allocates %.2f objects per rank, want <= %.1f: "+
+			"a per-step status or request slice is back", got, ceiling)
 	}
 }

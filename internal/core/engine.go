@@ -221,10 +221,9 @@ type Engine struct {
 	arming    *faultEvent // event whose recovery-start hook is running
 	armingSet rollbackSet // rollback set of the arming event
 	armed     int         // chained events inserted by the current hook
-	// eventFloor is the highest iteration of any event handed out for
-	// processing; ScheduleFault rejects insertions below it (they would land
-	// inside the processed prefix and corrupt the per-rank cursors).
-	eventFloor int
+	// freeBoundary is the lowest boundary no rank has checked the schedule
+	// at yet; ScheduleFault places no event below it.
+	freeBoundary int
 
 	// viewMu guards the current epoch view. It is written only while every
 	// rank is parked at the wave boundary that opens the epoch (the adaptive
@@ -502,8 +501,8 @@ func (e *Engine) runRank(p *mpi.Proc, app model.App) error {
 			}
 			if rb {
 				// A rank rolled back while already recovering keeps the
-				// outermost rejoin point: its suppression cutoffs (merged by
-				// beginRecovery) reach up to the original failure.
+				// outermost rejoin point: up to the original failure its
+				// re-sends may still be messages a peer already holds.
 				if iter > rejoinAt {
 					rejoinAt = iter
 				}

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/checkpoint"
-	"repro/internal/logstore"
 	"repro/internal/model"
 	"repro/internal/mpi"
 )
@@ -14,15 +13,23 @@ import (
 // The fault schedule is an ordered list of events. A static plan
 // (Config.Faults) compiles to one event per distinct iteration; chaos hooks
 // extend the list while the run is in flight — ScheduleFault inserts a
-// regular event from a quiescent boundary hook, and ArmFault chains an event
-// into a recovery that is being handled, which is how a second failure lands
-// *inside* a rollback/replay window.
+// regular event at a boundary no rank has passed yet, and ArmFault chains an
+// event into a recovery that is being handled, which is how a second failure
+// lands *inside* a rollback/replay window.
 //
 // An event rolls back the recovery groups its faults fail (a rollbackSet:
-// the epoch view plus those group ids), so every question recovery asks of
-// the set — does this rank, or this channel end, roll back; who leads — is a
-// group lookup, and one event's bookkeeping is O(rolled-back set), never
-// O(world × set).
+// the epoch view plus those group ids), so whether a rank or a channel end
+// rolls back, and who leads, is a group lookup.
+//
+// Recovery has one rule per inter-group channel s→d with a rolled-back end.
+// Once every rolled-back rank has restored, the leader reads d.seen (highest
+// sequence number d received from s) and s.sent (last one s assigned to d)
+// as they stand: a rolled-back end's restored state, a live end's live
+// state. It replays (d.seen, s.sent] from s's log, and s, if recovering
+// (rolled back now or still re-executing an earlier event), suppresses its
+// re-sends up to d.seen. The rule never asks which wave a group restored, so
+// co-failed groups on different waves and chained faults on any group
+// recover alike.
 //
 // Every rank processes the events in list order (a per-rank cursor), and
 // every event is a full-world rendezvous, so the recovery barrier generations
@@ -36,10 +43,11 @@ import (
 //     *arming* event are re-executing their replay window; they join when
 //     re-execution reaches the chained iteration (or immediately, if they
 //     restored past it). Every other rank joins immediately — it is a
-//     quiescent bystander at its own boundary, and the recovering ranks
-//     cannot need its future sends: their inter-set receives come from the
-//     log replay. Bystanders step between two events only when no chained
-//     event is pending, so no rank can be blocked mid-step on a parked peer.
+//     quiescent bystander at its own boundary, and up to the arming boundary
+//     the recovering ranks need none of its future sends: what they receive
+//     from it there was sent before the arming event and comes from its log.
+//     Bystanders step between two events only when no chained event is
+//     pending, so no rank can be blocked mid-step on a parked peer.
 //
 // A chained iteration must not exceed the arming event's (ArmFault rejects
 // it): past that boundary the recovering ranks rejoin live traffic and would
@@ -57,6 +65,9 @@ type faultEvent struct {
 	// set at the moment of the failure; replay availability starts after it.
 	// Guarded by Engine.mu.
 	failTime float64
+	// chans are the event's recovery channels, written by the leader after
+	// rendezvous 3 and read by every rank for its cutoffs after rendezvous 4.
+	chans []recoveryChan
 }
 
 // buildEvents compiles a validated static fault plan into the initial event
@@ -73,16 +84,8 @@ func buildEvents(faults []Fault) []*faultEvent {
 		}
 		ev.faults = append(ev.faults, f)
 	}
-	sortEvents(events)
+	slices.SortStableFunc(events, func(a, b *faultEvent) int { return cmp.Compare(a.iter, b.iter) })
 	return events
-}
-
-func sortEvents(events []*faultEvent) {
-	for i := 1; i < len(events); i++ {
-		for j := i; j > 0 && events[j-1].iter > events[j].iter; j-- {
-			events[j-1], events[j] = events[j], events[j-1]
-		}
-	}
 }
 
 // nextDueEvent returns the rank's next schedule event if it is due at the
@@ -91,6 +94,11 @@ func sortEvents(events []*faultEvent) {
 func (e *Engine) nextDueEvent(cursor, rank, iter int) *faultEvent {
 	e.eventMu.Lock()
 	defer e.eventMu.Unlock()
+	// From here on the rank may step past iter; ScheduleFault places no
+	// event at or below it.
+	if iter >= e.freeBoundary {
+		e.freeBoundary = iter + 1
+	}
 	if cursor >= len(e.events) {
 		return nil
 	}
@@ -98,23 +106,15 @@ func (e *Engine) nextDueEvent(cursor, rank, iter int) *faultEvent {
 	if (ev.armedBy == nil || ev.armedBy.has(rank)) && iter < ev.iter {
 		return nil
 	}
-	// The event is being handed out for processing: from here on, inserting a
-	// new event at an earlier iteration would land before it in the sorted
-	// schedule and corrupt the per-rank cursors. eventFloor is the guard
-	// ScheduleFault checks.
-	if ev.iter > e.eventFloor {
-		e.eventFloor = ev.iter
-	}
 	return ev
 }
 
-// ScheduleFault inserts a fault into the plan of a running engine. It is
-// chaos instrumentation for lifecycle hooks that fire while the whole world
-// is quiescent at an iteration boundary — PointEpochSwitch in particular:
-// there every rank is parked at the adaptive decision gate and the fault
-// becomes a regular plan event before any rank re-checks the schedule. The
-// iteration must not precede the boundary the hook fired at (the schedule's
-// processed prefix is immutable) and must lie inside the run.
+// ScheduleFault inserts a fault into the plan of a running engine (chaos
+// instrumentation for lifecycle hooks). If some rank has already checked the
+// requested boundary, the fault moves to the first boundary no rank has
+// checked: a rank that stepped on would block mid-step on a neighbour parked
+// at the rendezvous. Every handed-out event lies at a checked boundary, so
+// the processed prefix stays untouched. The boundary must lie inside the run.
 func (e *Engine) ScheduleFault(f Fault) error {
 	if f.Rank < 0 || f.Rank >= e.world.Size() {
 		return fmt.Errorf("core: scheduled fault rank %d out of range [0,%d)", f.Rank, e.world.Size())
@@ -124,8 +124,11 @@ func (e *Engine) ScheduleFault(f Fault) error {
 	}
 	e.eventMu.Lock()
 	defer e.eventMu.Unlock()
-	if f.Iteration < e.eventFloor {
-		return fmt.Errorf("core: scheduled fault at iteration %d precedes an event already being processed at iteration %d: the schedule's processed prefix is immutable (hooks must target the current boundary or later)", f.Iteration, e.eventFloor)
+	if f.Iteration < e.freeBoundary {
+		if e.freeBoundary >= e.cfg.Steps {
+			return fmt.Errorf("core: scheduled fault at iteration %d: a rank has already checked every boundary up to %d, the last of the run", f.Iteration, e.cfg.Steps-1)
+		}
+		f.Iteration = e.freeBoundary
 	}
 	i := len(e.events)
 	for i > 0 && e.events[i-1].iter > f.Iteration {
@@ -140,8 +143,10 @@ func (e *Engine) ScheduleFault(f Fault) error {
 
 // ArmFault chains a fault into the recovery currently being handled: the new
 // event is inserted directly after the arming event, its iteration pinned
-// inside the arming event's rollback/replay window, so the failure lands
-// while the rolled-back ranks are still re-executing. Legal only inside a
+// inside the arming event's rollback/replay window [0, arming iteration], so
+// the failure lands while the rolled-back ranks are still re-executing. Any
+// rank is a legal target: the per-channel replay/suppress rule (see
+// faultEvent) serves a chained rollback of any group. Legal only inside a
 // PointRecoveryStart hook (which runs on the recovery leader while every
 // rank is parked in the fault rendezvous).
 func (e *Engine) ArmFault(f Fault) error {
@@ -158,22 +163,6 @@ func (e *Engine) ArmFault(f Fault) error {
 	}
 	armedBy := e.armingSet
 	ev := &faultEvent{iter: f.Iteration, faults: []Fault{f}, armedBy: &armedBy}
-	// A chained fault below the arming boundary is only safe when every
-	// recovering group rolls back again with it. Otherwise a recovering rank
-	// stays outside the chained set while its sender log is still missing the
-	// entries wiped by its own restore: the replay injected for the chained
-	// rollback cannot include them, and the later re-sends are suppressed by
-	// the first recovery's cutoffs — the chained rollback would starve. At the
-	// arming boundary itself every recovering rank has re-executed (and
-	// re-logged) its full window before joining, so any target is safe.
-	if f.Iteration < e.arming.iter {
-		chained := newRollbackSet(armedBy.view, ev.faults)
-		for _, g := range armedBy.groups {
-			if !chained.hasGroup(g) {
-				return fmt.Errorf("core: chained fault on rank %d at iteration %d rolls back a set that excludes recovering rank %d: below the arming boundary %d the recovering ranks have not yet re-logged the sends the chained rollback must replay; target the recovery's own group or use iteration %d", f.Rank, f.Iteration, armedBy.view.Members(g)[0], e.arming.iter, e.arming.iter)
-			}
-		}
-	}
 	pos := -1
 	for i, cand := range e.events {
 		if cand == e.arming {
@@ -246,17 +235,7 @@ func (e *Engine) handleFaultEvent(p *mpi.Proc, app model.App, ev *faultEvent, it
 		e.closeArming()
 	}
 
-	var cuts map[mpi.ChanKey]uint64
 	if member {
-		// Capture, per outgoing channel that leaves the rolled-back set, the
-		// last sequence number assigned before the failure: re-executed sends
-		// at or below it were already received and must be suppressed.
-		cuts = make(map[mpi.ChanKey]uint64)
-		for _, key := range p.OutChannels() {
-			if !set.has(key.Peer) {
-				cuts[key] = p.OutSeq(key.Peer, key.Comm)
-			}
-		}
 		e.mu.Lock()
 		if t := p.Now(); t > ev.failTime {
 			ev.failTime = t
@@ -264,7 +243,7 @@ func (e *Engine) handleFaultEvent(p *mpi.Proc, app model.App, ev *faultEvent, it
 		e.mu.Unlock()
 	}
 
-	// Rendezvous 2: cutoffs and failure times captured everywhere.
+	// Rendezvous 2: failure times captured everywhere, storage stable.
 	if err := e.bar.await(); err != nil {
 		return 0, false, err
 	}
@@ -293,7 +272,7 @@ func (e *Engine) handleFaultEvent(p *mpi.Proc, app model.App, ev *faultEvent, it
 		if err := app.Restore(cp.AppState); err != nil {
 			return 0, false, fmt.Errorf("core: rank %d: restore app: %w", rank, err)
 		}
-		p.RestoreChannels(cp.Channels, nil)
+		p.RestoreChannels(cp.Channels)
 		if err := e.protos[rank].RestoreState(cp.Protocol); err != nil {
 			return 0, false, fmt.Errorf("core: rank %d: %w", rank, err)
 		}
@@ -307,7 +286,6 @@ func (e *Engine) handleFaultEvent(p *mpi.Proc, app model.App, ev *faultEvent, it
 				break
 			}
 		}
-		e.protos[rank].beginRecovery(cuts)
 		e.counters.restored.Add(1)
 		e.mu.Lock()
 		e.rolled[rank] = true
@@ -315,47 +293,91 @@ func (e *Engine) handleFaultEvent(p *mpi.Proc, app model.App, ev *faultEvent, it
 	}
 
 	// Rendezvous 3: every rolled-back rank has restored its state; the
-	// recovery leader can now inject the logged inter-cluster messages.
+	// recovery leader reads every recovery channel's (seen, sent) pair, then
+	// injects the replays.
 	if err := e.bar.await(); err != nil {
 		return 0, false, err
 	}
 	if rank == leader {
-		if err := e.injectReplays(ev, set); err != nil {
+		ev.chans = recoveryChans(e.world, set)
+		if err := e.injectReplays(ev); err != nil {
 			return 0, false, err
 		}
 		e.counters.recoveryEvents.Add(1)
 	}
 
-	// Rendezvous 4: replayed messages are lodged in the recovering ranks'
+	// Rendezvous 4: replayed messages are lodged in their destinations'
 	// queues before anyone resumes, so later direct sends stay in FIFO order
 	// behind the replays.
 	if err := e.bar.await(); err != nil {
 		return 0, false, err
 	}
+	e.protos[rank].beginRecovery(member, cutoffsOf(ev.chans, rank))
 	if !member {
 		return iter, false, nil
 	}
 	return cp.Iteration, true, nil
 }
 
-// injectReplays replays, from the log stores of the surviving ranks, every
-// inter-cluster message that a rolled-back rank had received after its
-// restored checkpoint (restored MaxSeqSeen onwards). Replay is per channel in
-// sequence order; virtual availability times start after the failure time
-// plus a control latency.
-func (e *Engine) injectReplays(ev *faultEvent, set rollbackSet) error {
+// recoveryChan is one inter-group channel src→dst on communicator comm with a
+// rolled-back end, with dst's seen and src's sent sequence numbers on it.
+type recoveryChan struct {
+	src, dst, comm int
+	seen, sent     uint64
+}
+
+// recoveryChans reads every inter-group channel with an end in set, ordered by
+// sender, communicator, destination: O(world + channels). A rank's outgoing
+// channel list keeps every channel it ever used, also across restores.
+func recoveryChans(w *mpi.World, set rollbackSet) []recoveryChan {
+	var chans []recoveryChan
+	for s := 0; s < w.Size(); s++ {
+		p := w.Proc(s)
+		keys := p.OutChannels()
+		slices.SortFunc(keys, mpi.ChanKey.Compare)
+		for _, key := range keys {
+			d := key.Peer
+			if !set.view.Logs(s, d) || !set.has(s) && !set.has(d) {
+				continue
+			}
+			chans = append(chans, recoveryChan{
+				src: s, dst: d, comm: key.Comm,
+				seen: w.Proc(d).InState(s, key.Comm).MaxSeqSeen,
+				sent: p.OutSeq(d, key.Comm),
+			})
+		}
+	}
+	return chans
+}
+
+// cutoffsOf returns the channels of chans whose sender is rank.
+func cutoffsOf(chans []recoveryChan, rank int) []recoveryChan {
+	lo, _ := slices.BinarySearchFunc(chans, rank, func(c recoveryChan, r int) int { return cmp.Compare(c.src, r) })
+	hi, _ := slices.BinarySearchFunc(chans, rank+1, func(c recoveryChan, r int) int { return cmp.Compare(c.src, r) })
+	return chans[lo:hi]
+}
+
+// injectReplays replays every recovery channel's (seen, sent] range from the
+// sender's log, per channel in sequence order; virtual availability times
+// start after the failure time plus a control latency.
+func (e *Engine) injectReplays(ev *faultEvent) error {
 	cost := e.world.Cost()
 	e.mu.Lock()
 	start := ev.failTime + cost.ControlLatency
 	e.mu.Unlock()
 	records, bytes := 0, uint64(0)
-	for _, c := range replayChannels(e.stores, set) {
-		from := e.world.Proc(c.dst).InState(c.src, c.comm).MaxSeqSeen + 1
+	for _, c := range ev.chans {
+		if c.sent <= c.seen {
+			continue
+		}
 		t := start
-		for _, r := range e.stores[c.src].Range(c.dst, c.comm, from) {
+		for _, r := range e.stores[c.src].Range(c.dst, c.comm, c.seen+1) {
+			if r.Env.Seq > c.sent {
+				break
+			}
 			t += cost.TransferTime(c.src, c.dst, len(r.Payload))
 			if err := e.world.InjectReplay(r.Env, r.Payload, t); err != nil {
-				// A dropped replay would leave the recovering rank blocked
+				// A dropped replay would leave the destination blocked
 				// forever on the missing sequence number.
 				return fmt.Errorf("core: replay %d->%d (comm %d) seq %d: %w",
 					c.src, c.dst, c.comm, r.Env.Seq, err)
@@ -367,34 +389,6 @@ func (e *Engine) injectReplays(ev *faultEvent, set rollbackSet) error {
 	e.counters.replayedRecords.Add(int64(records))
 	e.counters.replayedBytes.Add(bytes)
 	return nil
-}
-
-// replayChan names one logged channel a recovery replays: sender src's log
-// of its messages to dst on communicator comm.
-type replayChan struct{ dst, src, comm int }
-
-// replayChannels returns every logged channel from a sender outside the set
-// into a rank inside it, in replay order: destination ascending, then sender
-// ascending, then the sender store's channel order. Each surviving sender's
-// channel list is read once, so the cost is O(world + channels), not one
-// list copy per (destination, sender) pair.
-func replayChannels(stores []*logstore.Store, set rollbackSet) []replayChan {
-	var chans []replayChan
-	for s, store := range stores {
-		if set.has(s) {
-			continue
-		}
-		for _, key := range store.Channels() {
-			if set.has(key.Peer) {
-				chans = append(chans, replayChan{dst: key.Peer, src: s, comm: key.Comm})
-			}
-		}
-	}
-	// Senders were visited ascending, each in its store's channel order, so
-	// bucketing by destination with a stable sort keeps both orders inside
-	// every bucket.
-	slices.SortStableFunc(chans, func(a, b replayChan) int { return cmp.Compare(a.dst, b.dst) })
-	return chans
 }
 
 // rollbackSet is the set of ranks one fault event rolls back: the recovery
@@ -419,11 +413,8 @@ func newRollbackSet(view *EpochView, faults []Fault) rollbackSet {
 	return rollbackSet{view: view, groups: groups}
 }
 
-// hasGroup reports whether group g rolls back.
-func (s rollbackSet) hasGroup(g int) bool { return slices.Contains(s.groups, g) }
-
 // has reports whether rank rolls back.
-func (s rollbackSet) has(rank int) bool { return s.hasGroup(s.view.Group(rank)) }
+func (s rollbackSet) has(rank int) bool { return slices.Contains(s.groups, s.view.Group(rank)) }
 
 // leader returns the lowest rank of the set (the recovery leader).
 func (s rollbackSet) leader() int {

@@ -171,71 +171,80 @@ func TestArmFaultRejectsIterationPastFailurePoint(t *testing.T) {
 	}
 }
 
-// TestArmFaultRejectsCrossGroupBelowBoundary: below the arming boundary a
-// chained fault may only target the recovering group itself. A bystander
-// group's rollback would need replay records that the memory-lost recovering
-// ranks have not re-logged yet, and their later re-sends are suppressed — the
-// chained rollback would starve.
-func TestArmFaultRejectsCrossGroupBelowBoundary(t *testing.T) {
+// TestArmFaultAllowsCrossGroupBelowBoundary: below the arming boundary a
+// chained fault may target a group the first recovery left alone. The
+// per-channel rule replays what the chained rollback needs from the
+// recovering ranks' re-filled logs and resets their cutoffs on its channels,
+// so the run converges to the failure-free execution.
+func TestArmFaultAllowsCrossGroupBelowBoundary(t *testing.T) {
 	const ranks, steps = 4, 8
 	factory := app.NewRing(16, 3)
+	recNative := trace.NewRecorder(ranks)
+	wantVerify := runNative(t, factory, ranks, steps, recNative)
 	var armErr error
 	var once sync.Once
 	reg := NewFaultRegistry().Register(PointRecoveryStart, func(e *Engine, info PointInfo) {
 		once.Do(func() { armErr = e.ArmFault(Fault{Rank: 0, Iteration: info.Iteration - 1}) })
 	})
-	runEngine(t, factory, Config{
+	rec := trace.NewRecorder(ranks)
+	eng := runEngine(t, factory, Config{
 		Policy:      NewSPBCProtocol([]int{0, 0, 1, 1}),
 		Interval:    2,
 		Steps:       steps,
 		Storage:     checkpoint.NewMemoryStorage(),
 		Faults:      []Fault{{Rank: 2, Iteration: 5}},
 		Faultpoints: reg,
-	}, nil)
-	if armErr == nil {
-		t.Fatal("cross-group chained fault below the arming boundary must be rejected")
+	}, rec)
+	if armErr != nil {
+		t.Fatalf("cross-group chained fault below the arming boundary rejected: %v", armErr)
 	}
-	if !strings.Contains(armErr.Error(), "have not yet re-logged") {
-		t.Fatalf("unexpected error: %v", armErr)
+	if got := eng.VerifyValues(); !reflect.DeepEqual(got, wantVerify) {
+		t.Fatalf("verify = %v, want failure-free %v", got, wantVerify)
+	}
+	if err := trace.CheckFilteredChannelDeterminism(recNative, rec, appTraffic); err != nil {
+		t.Fatalf("replay not bit-identical after the chained fault: %v", err)
+	}
+	m := eng.Metrics()
+	if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(m.RolledBackRanks, want) {
+		t.Fatalf("rolled-back ranks = %v, want %v", m.RolledBackRanks, want)
+	}
+	if m.RecoveryEvents != 2 {
+		t.Fatalf("recovery events = %d, want 2", m.RecoveryEvents)
 	}
 }
 
-// TestArmFaultLivenessErrorIsDeterministic: the rejection of a chained fault
-// whose set excludes a recovering group names the lowest rank of the first
-// excluded group, so the message is the same on every call.
-func TestArmFaultLivenessErrorIsDeterministic(t *testing.T) {
+// TestArmFaultChainedCrossGroupMatchesFailureFree: on 8 ranks in 4 groups,
+// the first fault rolls back group 3 at iteration 5 and a chained fault hits
+// another group at an earlier iteration, so the second recovery meets ranks
+// that are still re-executing under suppression. Every case must end with
+// the failure-free digests.
+func TestArmFaultChainedCrossGroupMatchesFailureFree(t *testing.T) {
 	const ranks, steps = 8, 8
-	var errs []string
-	var once sync.Once
-	reg := NewFaultRegistry().Register(PointRecoveryStart, func(e *Engine, info PointInfo) {
-		once.Do(func() {
-			for i := 0; i < 20; i++ {
-				err := e.ArmFault(Fault{Rank: 1, Iteration: info.Iteration - 1})
-				if err == nil {
-					t.Error("chained fault outside the recovering group was accepted")
-					return
-				}
-				errs = append(errs, err.Error())
-			}
+	factory := app.NewRing(16, 3)
+	wantVerify := runNative(t, factory, ranks, steps, nil)
+	for _, chained := range []Fault{{Rank: 1, Iteration: 4}, {Rank: 1, Iteration: 2}, {Rank: 2, Iteration: 2}, {Rank: 4, Iteration: 3}} {
+		var armErr error
+		var once sync.Once
+		reg := NewFaultRegistry().Register(PointRecoveryStart, func(e *Engine, info PointInfo) {
+			once.Do(func() { armErr = e.ArmFault(chained) })
 		})
-	})
-	runEngine(t, app.NewRing(16, 3), Config{
-		Policy:      NewSPBCProtocol(contiguous8()),
-		Interval:    2,
-		Steps:       steps,
-		Storage:     checkpoint.NewMemoryStorage(),
-		Faults:      []Fault{{Rank: 6, Iteration: 5}},
-		Faultpoints: reg,
-	}, nil)
-	const want = "core: chained fault on rank 1 at iteration 4 rolls back a set that excludes recovering rank 4: " +
-		"below the arming boundary 5 the recovering ranks have not yet re-logged the sends the chained rollback " +
-		"must replay; target the recovery's own group or use iteration 5"
-	if len(errs) != 20 {
-		t.Fatalf("collected %d errors, want 20", len(errs))
-	}
-	for i, got := range errs {
-		if got != want {
-			t.Fatalf("call %d: error\n got %q\nwant %q", i, got, want)
+		eng := runEngine(t, factory, Config{
+			Policy:      NewSPBCProtocol([]int{0, 0, 1, 1, 2, 2, 3, 3}),
+			Interval:    2,
+			Steps:       steps,
+			Storage:     checkpoint.NewMemoryStorage(),
+			Faults:      []Fault{{Rank: 6, Iteration: 5}},
+			Faultpoints: reg,
+		}, nil)
+		if armErr != nil {
+			t.Fatalf("chained %+v: ArmFault: %v", chained, armErr)
+		}
+		if got := eng.VerifyValues(); !reflect.DeepEqual(got, wantVerify) {
+			t.Fatalf("chained %+v: verify = %v, want failure-free %v", chained, got, wantVerify)
+		}
+		g := chained.Rank / 2 * 2
+		if want := []int{g, g + 1, 6, 7}; !reflect.DeepEqual(eng.Metrics().RolledBackRanks, want) {
+			t.Fatalf("chained %+v: rolled-back ranks = %v, want %v", chained, eng.Metrics().RolledBackRanks, want)
 		}
 	}
 }
@@ -264,6 +273,44 @@ func TestScheduleFaultValidatesBounds(t *testing.T) {
 	}
 	if err := eng.ScheduleFault(Fault{Rank: 1, Iteration: -1}); err == nil {
 		t.Fatal("negative iteration must be rejected")
+	}
+}
+
+// TestScheduleFaultMovesPastCheckedBoundaries: a hook that is not at a
+// world-quiescent point may target a boundary another rank has already
+// checked and stepped past. The fault moves to the first boundary no rank has
+// checked, and is rejected when the run has none left.
+func TestScheduleFaultMovesPastCheckedBoundaries(t *testing.T) {
+	w, err := mpi.NewWorld(4, testCost())
+	if err != nil {
+		t.Fatalf("NewWorld: %v", err)
+	}
+	eng, err := NewEngine(w, Config{
+		Policy:   NewSPBCProtocol([]int{0, 0, 1, 1}),
+		Interval: 2,
+		Steps:    8,
+		Storage:  checkpoint.NewMemoryStorage(),
+	})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	if err := eng.ScheduleFault(Fault{Rank: 1, Iteration: 2}); err != nil {
+		t.Fatalf("ScheduleFault on an unchecked boundary: %v", err)
+	}
+	eng.nextDueEvent(1, 3, 4) // rank 3 checks boundary 4 and may step on
+	if err := eng.ScheduleFault(Fault{Rank: 0, Iteration: 4}); err != nil {
+		t.Fatalf("ScheduleFault on a checked boundary: %v", err)
+	}
+	var iters []int
+	for _, ev := range eng.events {
+		iters = append(iters, ev.iter)
+	}
+	if want := []int{2, 5}; !reflect.DeepEqual(iters, want) {
+		t.Fatalf("event iterations = %v, want %v (the second fault moved past the checked boundary 4)", iters, want)
+	}
+	eng.nextDueEvent(2, 3, 7)
+	if err := eng.ScheduleFault(Fault{Rank: 0, Iteration: 6}); err == nil {
+		t.Fatal("a fault with no unchecked boundary left in the run must be rejected")
 	}
 }
 

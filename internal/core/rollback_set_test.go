@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/app"
-	"repro/internal/logstore"
 	"repro/internal/mpi"
 )
 
@@ -119,13 +118,14 @@ func TestRollbackSetMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestReplayChannelsOrder feeds replayChannels hand-filled stores and a set
-// of two groups out of three, and checks that it visits the same (dst, src,
-// comm) channels in the same order as the nested destination × sender loops
-// it replaces.
+// TestReplayChannelsOrder builds a world whose ranks used random channels and
+// a set of two groups out of three, and checks that recoveryChans returns
+// exactly the brute-force list of inter-group channels with a rolled-back
+// end, in (sender, comm, destination) order, and that cutoffsOf hands every
+// rank exactly its own channels.
 func TestReplayChannelsOrder(t *testing.T) {
 	// Interleaved groups, so neither world order nor group order alone gives
-	// the replay order.
+	// the channel order.
 	groupOf := []int{2, 0, 1, 0, 2, 1, 0, 1, 2}
 	view, err := NewEpochView(0, groupOf)
 	if err != nil {
@@ -136,41 +136,53 @@ func TestReplayChannelsOrder(t *testing.T) {
 		t.Fatalf("set groups = %v, want [0 2]", set.groups)
 	}
 
+	w, err := mpi.NewWorld(len(groupOf), testCost())
+	if err != nil {
+		t.Fatalf("NewWorld: %v", err)
+	}
 	rng := rand.New(rand.NewSource(7))
-	stores := make([]*logstore.Store, len(groupOf))
-	for s := range stores {
-		stores[s] = logstore.New()
-		// Every sender logs to a random subset of peers on comms 0–2, in
-		// shuffled order, so the store's channel order comes from its sort.
+	used := map[[3]int]bool{}
+	for s := range groupOf {
+		// Every sender opens channels to a random subset of peers on comms
+		// 0–2, in shuffled order, so the channel order comes from the sort.
 		for _, i := range rng.Perm(3 * len(groupOf)) {
 			d, comm := i%len(groupOf), i/len(groupOf)
 			if d == s || rng.Intn(3) == 0 {
 				continue
 			}
-			stores[s].Append(logstore.Record{Env: mpi.Envelope{Source: s, Dest: d, CommID: comm, Seq: 1}})
+			w.Proc(s).OutSeq(d, comm)
+			used[[3]int{s, comm, d}] = true
 		}
 	}
 
-	var want []replayChan
-	for d := range groupOf {
-		if !set.has(d) {
-			continue
-		}
-		for s := range groupOf {
-			if set.has(s) {
-				continue
-			}
-			for _, key := range stores[s].Channels() {
-				if key.Peer == d {
-					want = append(want, replayChan{dst: d, src: s, comm: key.Comm})
+	var want []recoveryChan
+	for s := range groupOf {
+		for comm := 0; comm < 3; comm++ {
+			for d := range groupOf {
+				if used[[3]int{s, comm, d}] && groupOf[s] != groupOf[d] && (set.has(s) || set.has(d)) {
+					want = append(want, recoveryChan{src: s, dst: d, comm: comm})
 				}
 			}
 		}
 	}
 	if len(want) == 0 {
-		t.Fatal("fixture logs nothing into the set")
+		t.Fatal("fixture has no channel touching the set")
 	}
-	if got := replayChannels(stores, set); !reflect.DeepEqual(got, want) {
-		t.Fatalf("replay order\n got %v\nwant %v", got, want)
+	got := recoveryChans(w, set)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovery channels\n got %v\nwant %v", got, want)
+	}
+	n := 0
+	for r := range groupOf {
+		own := cutoffsOf(got, r)
+		for _, c := range own {
+			if c.src != r {
+				t.Fatalf("cutoffsOf(%d) returned a channel of sender %d", r, c.src)
+			}
+		}
+		n += len(own)
+	}
+	if n != len(got) {
+		t.Fatalf("cutoffsOf covers %d of %d channels", n, len(got))
 	}
 }

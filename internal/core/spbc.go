@@ -3,7 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/buf"
 	"repro/internal/logstore"
@@ -51,11 +51,10 @@ type SPBC struct {
 	iterations  map[uint32]uint32
 	current     mpi.MatchID
 
-	// cutoffs maps outgoing inter-cluster channels to the last sequence
-	// number assigned before the rollback. While recovering, a send with a
-	// sequence number at or below the cutoff was already transmitted before
-	// the failure and must not be re-sent (Algorithm 1 line 7): the
-	// destination did not roll back and already holds the message.
+	// cutoffs is non-nil while the rank is recovering. It maps outgoing
+	// inter-group channels to the highest sequence number the destination
+	// held when a recovery last touched the channel: a re-send at or below
+	// it must not be transmitted again (Algorithm 1 line 7).
 	cutoffs map[mpi.ChanKey]uint64
 }
 
@@ -177,7 +176,7 @@ func (s *SPBC) EncodeState() ([]byte, error) {
 	for p := range s.iterations {
 		patterns = append(patterns, p)
 	}
-	sort.Slice(patterns, func(i, j int) bool { return patterns[i] < patterns[j] })
+	slices.Sort(patterns)
 	out := make([]byte, 0, (2+2*len(patterns))*binary.MaxVarintLen32)
 	out = binary.AppendUvarint(out, uint64(s.nextPattern))
 	out = binary.AppendUvarint(out, uint64(len(patterns)))
@@ -224,21 +223,22 @@ func (s *SPBC) RestoreState(raw []byte) error {
 	return nil
 }
 
-// beginRecovery installs the suppression cutoffs captured at the failure
-// point. Called from the rank's own goroutine during rollback.
-// Cutoffs merge per-channel max so a nested recovery (a second fault landing
-// while this rank is already replaying) keeps the outer run's suppression: the
-// re-execution's sequence numbers trail the original run's, so the larger
-// cutoff stays authoritative for every channel both recoveries cover.
-func (s *SPBC) beginRecovery(cutoffs map[mpi.ChanKey]uint64) {
+// beginRecovery installs the suppression cutoffs one recovery event assigns
+// to the rank's outgoing channels, each the destination's seen sequence
+// number. A rank the event rolled back starts from an empty map; a rank still
+// re-executing an earlier recovery overwrites the channels the event touched,
+// because their destinations' seen numbers are what holds now; any other
+// rank is not recovering and suppresses nothing. Called from the rank's own
+// goroutine.
+func (s *SPBC) beginRecovery(rolledBack bool, chans []recoveryChan) {
+	if rolledBack {
+		s.cutoffs = make(map[mpi.ChanKey]uint64, len(chans))
+	}
 	if s.cutoffs == nil {
-		s.cutoffs = cutoffs
 		return
 	}
-	for k, v := range cutoffs {
-		if v > s.cutoffs[k] {
-			s.cutoffs[k] = v
-		}
+	for _, c := range chans {
+		s.cutoffs[mpi.ChanKey{Peer: c.dst, Comm: c.comm}] = c.seen
 	}
 }
 

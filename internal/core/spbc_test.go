@@ -106,8 +106,7 @@ func TestSPBCSuppressionCutoffs(t *testing.T) {
 	log := logstore.New()
 	s := NewSPBC(0, NewSPBCProtocol([]int{0, 1}), simnet.DefaultCostModel(), log)
 	p := testProc(t)
-	key := mpi.ChanKey{Peer: 1, Comm: 0}
-	s.beginRecovery(map[mpi.ChanKey]uint64{key: 2})
+	s.beginRecovery(true, []recoveryChan{{src: 0, dst: 1, seen: 2, sent: 1}})
 
 	for seq, wantTransmit := range map[uint64]bool{1: false, 2: false, 3: true} {
 		env := mpi.Envelope{Source: 0, Dest: 1, Seq: seq, Bytes: 1}
@@ -125,6 +124,39 @@ func TestSPBCSuppressionCutoffs(t *testing.T) {
 	env := mpi.Envelope{Source: 0, Dest: 1, Seq: 1, Bytes: 1}
 	if transmit, _ := s.OnSend(p, env, buf.Copy([]byte{9})); !transmit {
 		t.Fatalf("after endRecovery nothing is suppressed")
+	}
+}
+
+// TestSPBCCutoffsOverwrite pins how a recovery event's cutoffs land: a rank
+// that is not recovering installs none, a rank still re-executing takes the
+// event's cutoff even when it is lower than the one it held (the destination
+// rolled back and needs those sends again), and a rank the event rolls back
+// drops every cutoff of its earlier recovery.
+func TestSPBCCutoffsOverwrite(t *testing.T) {
+	s := NewSPBC(0, NewSPBCProtocol([]int{0, 1, 2}), simnet.DefaultCostModel(), logstore.New())
+	p := testProc(t)
+	transmits := func(dst int, seq uint64) bool {
+		ok, _ := s.OnSend(p, mpi.Envelope{Source: 0, Dest: dst, Seq: seq, Bytes: 1}, buf.Copy([]byte{9}))
+		return ok
+	}
+
+	s.beginRecovery(false, []recoveryChan{{src: 0, dst: 1, seen: 5}})
+	if !transmits(1, 3) {
+		t.Fatal("a rank that is not recovering must not install cutoffs")
+	}
+
+	s.beginRecovery(true, []recoveryChan{{src: 0, dst: 1, seen: 5}, {src: 0, dst: 2, seen: 4}})
+	s.beginRecovery(false, []recoveryChan{{src: 0, dst: 1, seen: 2}})
+	if !transmits(1, 3) {
+		t.Fatal("a recovering rank kept a higher cutoff over the event's lower one")
+	}
+	if transmits(1, 2) || transmits(2, 4) {
+		t.Fatal("a recovering rank lost a cutoff the event kept or did not touch")
+	}
+
+	s.beginRecovery(true, []recoveryChan{{src: 0, dst: 1, seen: 1}})
+	if !transmits(2, 4) {
+		t.Fatal("a rolled-back rank kept a cutoff of its earlier recovery")
 	}
 }
 

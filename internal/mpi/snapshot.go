@@ -106,18 +106,13 @@ func (p *Proc) SnapshotChannelsShared() (*ChannelSnapshot, []*bufpkg.Buffer, err
 }
 
 // RestoreChannels restores the channel state captured by
-// SnapshotChannelsShared. keepQueued selects which captured queued messages
-// to restore (SPBC restores all of them; a caller may filter). The
-// posted-receive queue and the unexpected queue are reset; the outgoing
-// sequence counters, incoming bookkeeping, collective counters and virtual
-// clock are restored.
+// SnapshotChannelsShared. The posted-receive queue and the unexpected queue
+// are reset; the captured queued messages, the outgoing sequence counters,
+// incoming bookkeeping, collective counters and virtual clock are restored.
 //
 // Channels that exist now but did not exist at snapshot time are reset to
 // zero so that re-execution reassigns the same sequence numbers.
-func (p *Proc) RestoreChannels(snap *ChannelSnapshot, keepQueued func(QueuedMessage) bool) {
-	if keepQueued == nil {
-		keepQueued = func(QueuedMessage) bool { return true }
-	}
+func (p *Proc) RestoreChannels(snap *ChannelSnapshot) {
 	p.mu.Lock()
 	p.posted.clear(nil)
 	p.pending = 0
@@ -136,9 +131,6 @@ func (p *Proc) RestoreChannels(snap *ChannelSnapshot, keepQueued func(QueuedMess
 		p.inState[k] = &inChannelState{maxSeqSeen: st.MaxSeqSeen, delivered: st.Delivered}
 	}
 	for _, q := range snap.Queued {
-		if !keepQueued(q) {
-			continue
-		}
 		msg := newMsg()
 		msg.env = q.Env
 		msg.payload = bufpkg.Copy(q.Payload)
