@@ -4,8 +4,8 @@
 // Sender-based logging systems (Johnson & Zwaenepoel; the paper's SPBC) treat
 // the sender's log as the same memory the network sends from: the payload is
 // copied once out of the application buffer and that single copy is then
-// shared by the in-flight message, the receiver hand-off and the sender-side
-// log record. Buffer makes that sharing safe in a concurrent runtime: every
+// shared by the in-flight message, the receiver hand-off, the sender-side
+// log record and, after a failure, the replayed message. Buffer makes that sharing safe in a concurrent runtime: every
 // holder owns one reference, and the storage is recycled through a per-size-
 // class pool when the last reference is released (at message completion, at
 // log garbage collection, or when a duplicate is dropped).

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"testing"
 
+	"repro/internal/logstore"
 	"repro/internal/mpi"
 )
 
@@ -33,7 +34,7 @@ func benchCheckpoint(stateBytes, logRecords int) *Checkpoint {
 		Protocol: make([]byte, 64),
 	}
 	for i := 0; i < logRecords; i++ {
-		cp.Logs = append(cp.Logs, LogRecord{
+		cp.Logs = append(cp.Logs, logstore.Record{
 			Env:     mpi.Envelope{Source: 1, Dest: 0, Seq: uint64(i + 1), Bytes: 256},
 			Payload: make([]byte, 256),
 		})

@@ -6,16 +6,18 @@
 // A checkpoint of a rank bundles the application state (an opaque byte
 // slice produced by the application's Snapshot method), the MPI-level
 // channel state (sequence counters, reception bookkeeping and undelivered
-// messages) and the sender-based message log. Checkpoints exist in two
-// forms:
+// messages) and the sender-based message log, as the log store's own
+// records (logstore.Record). Checkpoints exist in two forms:
 //
 //   - Capture form: produced under the checkpoint barrier. Payload slices
 //     alias the runtime's pooled buffers (internal/buf) that the capture
-//     retained — building it costs O(metadata), no payload is copied. The
-//     holder releases the references with ReleaseShared once the checkpoint
-//     is durably encoded.
+//     retained — the log is logstore.SnapshotShared's slice as it stands, so
+//     building it costs O(metadata) and no payload is copied. The holder
+//     releases the references with ReleaseShared once the checkpoint is
+//     durably encoded.
 //   - Materialized form: produced by Decode. Every payload is an independent
-//     heap copy whose lifetime is decoupled from the buffer pool.
+//     heap copy whose lifetime is decoupled from the buffer pool; rollback
+//     hands the log to logstore.Store.Restore, which copies it into the pool.
 //
 // Both forms encode to the same binary image (codec.go). Two storage
 // back-ends are provided: an in-memory store that keeps the immutable
@@ -35,16 +37,9 @@ import (
 	"sync"
 
 	"repro/internal/buf"
+	"repro/internal/logstore"
 	"repro/internal/mpi"
 )
-
-// LogRecord mirrors logstore.Record in a self-contained form so the
-// checkpoint package does not depend on the log store implementation.
-type LogRecord struct {
-	Env      mpi.Envelope
-	Payload  []byte
-	SendTime float64
-}
 
 // Checkpoint is the saved state of one rank.
 type Checkpoint struct {
@@ -61,7 +56,7 @@ type Checkpoint struct {
 	Time     float64 // virtual time of the rank when the checkpoint was taken
 	AppState []byte
 	Channels *mpi.ChannelSnapshot
-	Logs     []LogRecord
+	Logs     []logstore.Record // the rank's sender-based log
 	// Protocol is the opaque per-rank state of the checkpointing protocol
 	// itself (for SPBC: the pattern-iteration counters of Section 5.1). It
 	// must be rolled back with the application so that re-executed sends and

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/logstore"
 	"repro/internal/mpi"
 )
 
@@ -25,7 +26,7 @@ func sampleCheckpoint(rank int) *Checkpoint {
 			CollSeq: map[int]uint64{0: 3},
 			Clock:   1.5,
 		},
-		Logs: []LogRecord{{
+		Logs: []logstore.Record{{
 			Env:     mpi.Envelope{Source: rank, Dest: 9, Seq: 1, Bytes: 2},
 			Payload: []byte("xy"),
 		}},

@@ -20,6 +20,7 @@ import (
 	"sort"
 
 	"repro/internal/buf"
+	"repro/internal/logstore"
 	"repro/internal/mpi"
 )
 
@@ -363,7 +364,7 @@ func Decode(raw []byte) (*Checkpoint, error) {
 	}
 
 	for n := d.count("logs"); n > 0 && d.err == nil; n-- {
-		cp.Logs = append(cp.Logs, LogRecord{
+		cp.Logs = append(cp.Logs, logstore.Record{
 			Env:      d.envelope("log env"),
 			Payload:  d.bytes("log payload"),
 			SendTime: d.float("log send time"),

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/buf"
+	"repro/internal/logstore"
 	"repro/internal/mpi"
 )
 
@@ -80,7 +81,7 @@ func randCheckpoint(rng *rand.Rand) *Checkpoint {
 		cp.Channels = c
 	}
 	for i := rng.Intn(6); i > 0; i-- {
-		cp.Logs = append(cp.Logs, LogRecord{
+		cp.Logs = append(cp.Logs, logstore.Record{
 			Env:      randEnv(),
 			Payload:  randBytes(1 << 10),
 			SendTime: rng.Float64() * 10,

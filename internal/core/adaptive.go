@@ -20,9 +20,9 @@ import (
 // checkers), partitions it, and — when the projected logged-volume saving
 // clears the hysteresis thresholds — opens a new policy epoch whose first
 // wave is the new partition's recovery line. The filter is load-bearing:
-// counting protocol traffic would let each repartition's own CommSplit
-// allgather (neighbor-patterned, on the world communicator) dominate the
-// next window and flap the partition straight back.
+// counting protocol traffic would let the runtime's own collectives on the
+// world communicator dominate the next window and flap the partition
+// straight back.
 //
 // Coordination is out-of-band and wall-clock only (like the recovery
 // rendezvous, it costs no virtual time): every rank entering a wave boundary
@@ -250,7 +250,7 @@ func (a *adaptive) decideLocked(iter int) (*EpochView, error) {
 	// All ranks are parked at the decision gate, so this single goroutine can
 	// intern the new epoch's cluster comms deterministically into the view;
 	// the switching ranks then read them from it, with no world-sized
-	// CommSplit.
+	// membership exchange.
 	if err := internClusterComms(a.e.world, v); err != nil {
 		return nil, fmt.Errorf("core: adaptive repartition at iteration %d: %w", iter, err)
 	}

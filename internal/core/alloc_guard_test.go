@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/app"
@@ -155,6 +156,81 @@ func TestAllocGuardRecoverySet(t *testing.T) {
 	}
 	if small > 1 {
 		t.Errorf("rollback set allocates %.2f objects per event, want <= 1 (the group-id slice)", small)
+	}
+}
+
+// TestAllocGuardReplay pins zero-copy recovery replay: injectReplays hands
+// each logged buffer itself, with a reference of its own, to the replayed
+// message, as a send hands its buffer to the in-flight message. Replaying 64
+// logged 16 KiB records must therefore allocate no payload bytes; a copy out
+// of the log or into the message costs 16 KiB a record. The first replay is
+// received and checked; the measured ones land on a destination that already
+// holds every sequence number, whose duplicate filter drops them after the
+// whole replay path has run.
+func TestAllocGuardReplay(t *testing.T) {
+	skipAllocGuardUnderRace(t)
+	const records, size = 64, 16 << 10
+	w, err := mpi.NewWorld(2, simnet.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &Engine{world: w, stores: []*logstore.Store{logstore.New(), logstore.New()}}
+	comm := w.CommWorld().ID()
+	logged := make([]*buf.Buffer, records)
+	for i := range logged {
+		payload := make([]byte, size)
+		payload[0], payload[size-1] = byte(i), byte(i+1)
+		logged[i] = buf.Copy(payload)
+		env := mpi.Envelope{Source: 0, Dest: 1, CommID: comm, Seq: uint64(i + 1), Bytes: size}
+		e.stores[0].AppendShared(env, logged[i], 0)
+	}
+	ev := &faultEvent{chans: []recoveryChan{{src: 0, dst: 1, comm: comm, seen: 0, sent: records}}}
+	replay := func() {
+		if err := e.injectReplays(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	replay()
+	if refs := logged[0].Refs(); refs != 3 {
+		t.Errorf("a queued replay holds %d references to the logged buffer, want 3 "+
+			"(sender, log, message): the replay copied the payload", refs)
+	}
+	rbuf := make([]byte, size)
+	for i := range logged {
+		if _, err := w.Proc(1).Recv(rbuf, 0, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		if rbuf[0] != byte(i) || rbuf[size-1] != byte(i+1) {
+			t.Fatalf("replayed record %d delivered the wrong payload", i)
+		}
+	}
+	if refs := logged[0].Refs(); refs != 2 {
+		t.Fatalf("after delivery the logged buffer has %d references, want 2 (sender, log)", refs)
+	}
+
+	// measure returns allocations and bytes per call, as in
+	// checkpoint.TestAllocGuardDeltaEncode: one P, collector off, fn warmed
+	// on that P first.
+	measure := func(fn func()) (allocs, bytesPerCall float64) {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		fn()
+		const calls = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(calls, fn)
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (calls + 1)
+	}
+	allocs, bytes := measure(replay)
+	t.Logf("replaying %d records of %d B: %.0f allocs, %.0f B per replay", records, size, allocs, bytes)
+	if bytes > 1<<10 {
+		t.Errorf("replaying %d records of %d B allocates %.0f B, want <= 1 KiB: a payload copy is back in the replay path",
+			records, size, bytes)
+	}
+	for _, b := range logged {
+		b.Release()
 	}
 }
 

@@ -260,7 +260,7 @@ func NewEngine(w *mpi.World, cfg Config) (*Engine, error) {
 	}
 	// Intern the epoch's cluster communicators once, in group order, from
 	// this single goroutine: every rank then reads its comm from the view
-	// instead of running a world-sized CommSplit allgather (O(world²) traffic
+	// instead of running a world-sized membership allgather (O(world²) traffic
 	// at init), and comm ids are deterministic across runs.
 	if err := internClusterComms(w, view); err != nil {
 		return nil, err
@@ -578,13 +578,12 @@ func (e *Engine) checkpointRank(p *mpi.Proc, app model.App, rc *rankCtx, iter in
 			// World rendezvous between the flush and the first new-epoch
 			// capture: flush waits for *every* cluster's waves, so a rank
 			// submitting a new-epoch partial wave before some other rank has
-			// flushed would deadlock that rank's flush. The old CommSplit's
-			// world allgather provided this barrier implicitly; the new-epoch
-			// comms are now derived locally from the view (interned by the
-			// decision rank while everyone was parked), so the rendezvous is
-			// explicit. Every rank crosses the switch boundary exactly once —
-			// re-execution never re-crosses an epoch switch — so generations
-			// stay aligned.
+			// flushed would deadlock that rank's flush. The new-epoch comms
+			// are derived locally from the view (interned by the decision
+			// rank while everyone was parked), with no world collective to
+			// act as this barrier, so the rendezvous is explicit. Every rank
+			// crosses the switch boundary exactly once — re-execution never
+			// re-crosses an epoch switch — so generations stay aligned.
 			if err := e.switchBar.await(); err != nil {
 				return fmt.Errorf("core: rank %d: epoch %d switch rendezvous: %w", rank, next.Epoch(), err)
 			}
@@ -632,7 +631,7 @@ func (e *Engine) checkpointRank(p *mpi.Proc, app model.App, rc *rankCtx, iter in
 		Time:      p.Now(),
 		AppState:  state,
 		Channels:  snap,
-		Logs:      ToCheckpointRecords(logs),
+		Logs:      logs,
 		Protocol:  proto,
 	}
 	cp.HoldShared(snapRefs)
@@ -680,30 +679,6 @@ func (e *Engine) gcLogsWave(w *wave) {
 		}
 	}
 	e.counters.truncated.Add(int64(dropped))
-}
-
-// ToCheckpointRecords converts a log-store snapshot to checkpoint records.
-// Payload slices are carried through as-is: for a shared snapshot they alias
-// the pooled buffers the capture retained. Exported so the bench checkpoint
-// profile measures the exact conversion the engine's capture performs.
-func ToCheckpointRecords(recs []logstore.Record) []checkpoint.LogRecord {
-	if len(recs) == 0 {
-		return nil
-	}
-	out := make([]checkpoint.LogRecord, len(recs))
-	for i, r := range recs {
-		out[i] = checkpoint.LogRecord{Env: r.Env, Payload: r.Payload, SendTime: r.SendTime}
-	}
-	return out
-}
-
-// storeFromRecords rebuilds a log store from checkpoint records.
-func storeFromRecords(recs []checkpoint.LogRecord) *logstore.Store {
-	s := logstore.New()
-	for _, r := range recs {
-		s.Append(logstore.Record{Env: r.Env, Payload: r.Payload, SendTime: r.SendTime})
-	}
-	return s
 }
 
 // process is the model.Process facade handed to applications: native MPI

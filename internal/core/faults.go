@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/buf"
 	"repro/internal/checkpoint"
 	"repro/internal/model"
 	"repro/internal/mpi"
@@ -282,7 +283,7 @@ func (e *Engine) handleFaultEvent(p *mpi.Proc, app model.App, ev *faultEvent, it
 				// back from the checkpoint. Co-rollback peers keep their
 				// in-memory logs (re-logging is deduplicated by sequence
 				// number).
-				e.stores[rank].RestoreFrom(storeFromRecords(cp.Logs))
+				e.stores[rank].Restore(cp.Logs)
 				break
 			}
 		}
@@ -359,7 +360,8 @@ func cutoffsOf(chans []recoveryChan, rank int) []recoveryChan {
 
 // injectReplays replays every recovery channel's (seen, sent] range from the
 // sender's log, per channel in sequence order; virtual availability times
-// start after the failure time plus a control latency.
+// start after the failure time plus a control latency. Each replayed message
+// carries the logged buffer itself, as a direct send does.
 func (e *Engine) injectReplays(ev *faultEvent) error {
 	cost := e.world.Cost()
 	e.mu.Lock()
@@ -367,23 +369,22 @@ func (e *Engine) injectReplays(ev *faultEvent) error {
 	e.mu.Unlock()
 	records, bytes := 0, uint64(0)
 	for _, c := range ev.chans {
-		if c.sent <= c.seen {
-			continue
-		}
 		t := start
-		for _, r := range e.stores[c.src].Range(c.dst, c.comm, c.seen+1) {
-			if r.Env.Seq > c.sent {
-				break
-			}
-			t += cost.TransferTime(c.src, c.dst, len(r.Payload))
-			if err := e.world.InjectReplay(r.Env, r.Payload, t); err != nil {
+		err := e.stores[c.src].Replay(c.dst, c.comm, c.seen, c.sent, func(env mpi.Envelope, payload *buf.Buffer) error {
+			n := payload.Len()
+			t += cost.TransferTime(c.src, c.dst, n)
+			if err := e.world.InjectReplay(env, payload, t); err != nil {
 				// A dropped replay would leave the destination blocked
 				// forever on the missing sequence number.
 				return fmt.Errorf("core: replay %d->%d (comm %d) seq %d: %w",
-					c.src, c.dst, c.comm, r.Env.Seq, err)
+					c.src, c.dst, c.comm, env.Seq, err)
 			}
 			records++
-			bytes += uint64(len(r.Payload))
+			bytes += uint64(n)
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	e.counters.replayedRecords.Add(int64(records))

@@ -261,7 +261,7 @@ func TestAllocGuardCheckpointCapture(t *testing.T) {
 				}
 				logs, logRefs := store.SnapshotShared()
 				cp := &checkpoint.Checkpoint{
-					Rank: 0, AppState: appState, Channels: snap, Logs: ToCheckpointRecords(logs), Protocol: state,
+					Rank: 0, AppState: appState, Channels: snap, Logs: logs, Protocol: state,
 				}
 				cp.HoldShared(snapRefs)
 				cp.HoldShared(logRefs)

@@ -96,8 +96,8 @@ func (v *EpochView) Members(g int) []int { return v.members[g] }
 
 // Comm returns the cluster communicator of a group. The engine interns every
 // group's comm once, when it creates the view, so this is a lookup: no rank
-// runs a world-sized CommSplit, and no rank re-validates the membership. It
-// is only valid on a view the engine has published.
+// runs a world-sized membership exchange, and no rank re-validates the
+// membership. It is only valid on a view the engine has published.
 func (v *EpochView) Comm(g int) *mpi.Comm { return v.comms[g] }
 
 // Logs reports whether src→dst messages are sender-logged under this epoch:

@@ -21,7 +21,9 @@ import (
 // with singleton groups (NewFullLogProtocol) it degenerates to classic full
 // sender-based logging, and with one global group (NewCoordinatedProtocol) it
 // logs nothing and only the identifier machinery remains active (harmless
-// for deterministic SPMD codes).
+// for deterministic SPMD codes). Delivery needs no hook: with
+// channel-deterministic applications and identifier matching, SPBC logs no
+// determinants (Section 4.1).
 //
 // All methods are called from the owning rank's goroutine (the mpi.Protocol
 // contract), so the pattern and cutoff state needs no locking; the log store
@@ -41,8 +43,8 @@ type SPBC struct {
 	// profile, when non-nil, receives the application's point-to-point
 	// traffic (world communicator, application tag range) for adaptive
 	// repartitioning. The filter matters: protocol traffic — checkpoint
-	// barriers, the allgather of a mid-run CommSplit — would otherwise feed
-	// back into the very decisions that generate it.
+	// barriers, collectives on the world communicator — would otherwise
+	// feed back into the very decisions that generate it.
 	profile *liveProfile
 
 	// Pattern API state (Section 5.1): the active identifier and the next
@@ -158,11 +160,6 @@ func (s *SPBC) OnSend(p *mpi.Proc, env mpi.Envelope, payload *buf.Buffer) (trans
 	}
 	return true, cost
 }
-
-// OnDeliver does nothing: with channel-deterministic applications and
-// identifier matching, SPBC does not need to track delivery events
-// (Section 4.1 — no determinants are logged).
-func (s *SPBC) OnDeliver(p *mpi.Proc, env mpi.Envelope) {}
 
 // EncodeState serializes the pattern-API state (Section 5.1 counters) for
 // inclusion in a checkpoint: a deterministic uvarint stream (next pattern id,

@@ -4,19 +4,25 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/buf"
 	"repro/internal/mpi"
 )
 
 // The log-append path runs on every logged send (the protocol's only
-// failure-free overhead) and the range path on every recovery replay, so
-// both are hot in the bench sweep. Names are benchstat-friendly: compare
-// runs with `benchstat old.txt new.txt`.
+// failure-free overhead) and the replay path on every recovery, so both are
+// hot in the bench sweep. Names are benchstat-friendly: compare runs with
+// `benchstat old.txt new.txt`.
 
-func benchRecord(seq uint64, payload []byte) Record {
-	return Record{
-		Env:     mpi.Envelope{Source: 0, Dest: 1, CommID: 0, Seq: seq, Bytes: len(payload)},
-		Payload: payload,
-	}
+func benchEnv(seq uint64, size int) mpi.Envelope {
+	return mpi.Envelope{Source: 0, Dest: 1, CommID: 0, Seq: seq, Bytes: size}
+}
+
+// benchAppend logs payload as the send path does: one pooled copy, retained
+// by the store, the sender's reference dropped.
+func benchAppend(s *Store, seq uint64, payload []byte) {
+	pb := buf.Copy(payload)
+	s.AppendShared(benchEnv(seq, len(payload)), pb, 0)
+	pb.Release()
 }
 
 func BenchmarkStoreAppend(b *testing.B) {
@@ -28,7 +34,7 @@ func BenchmarkStoreAppend(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.Append(benchRecord(uint64(i+1), payload))
+				benchAppend(s, uint64(i+1), payload)
 			}
 		})
 	}
@@ -36,14 +42,15 @@ func BenchmarkStoreAppend(b *testing.B) {
 
 func BenchmarkStoreAppendDuplicate(b *testing.B) {
 	// Re-logging during recovery re-execution hits the duplicate path.
-	payload := make([]byte, 1024)
+	pb := buf.Copy(make([]byte, 1024))
+	defer pb.Release()
 	s := New()
-	s.Append(benchRecord(1, payload))
+	s.AppendShared(benchEnv(1, pb.Len()), pb, 0)
 	b.SetBytes(1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Append(benchRecord(1, payload))
+		s.AppendShared(benchEnv(1, pb.Len()), pb, 0)
 	}
 }
 
@@ -53,14 +60,21 @@ func BenchmarkStoreReplayRange(b *testing.B) {
 			payload := make([]byte, 256)
 			s := New()
 			for i := 0; i < records; i++ {
-				s.Append(benchRecord(uint64(i+1), payload))
+				benchAppend(s, uint64(i+1), payload)
 			}
-			from := uint64(records / 2) // replay the post-checkpoint tail
+			seen := uint64(records / 2) // replay the post-checkpoint tail
+			n := 0
+			consume := func(_ mpi.Envelope, p *buf.Buffer) error {
+				n++
+				p.Release()
+				return nil
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := s.Range(1, 0, from); len(got) == 0 {
-					b.Fatalf("empty replay range")
+				n = 0
+				if err := s.Replay(1, 0, seen, uint64(records), consume); err != nil || n == 0 {
+					b.Fatalf("empty replay range (err %v)", err)
 				}
 			}
 		})
@@ -73,7 +87,7 @@ func BenchmarkStoreTruncate(b *testing.B) {
 	const records = 1024
 	s := New()
 	for i := 0; i < records; i++ {
-		s.Append(benchRecord(uint64(i+1), payload))
+		benchAppend(s, uint64(i+1), payload)
 	}
 	next := uint64(records)
 	b.ReportAllocs()
@@ -82,7 +96,7 @@ func BenchmarkStoreTruncate(b *testing.B) {
 		dropped := s.Truncate(1, 0, next-records/2)
 		for j := 0; j < dropped; j++ {
 			next++
-			s.Append(benchRecord(next, payload))
+			benchAppend(s, next, payload)
 		}
 	}
 }

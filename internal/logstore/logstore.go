@@ -11,8 +11,11 @@
 // accounting reads taken by the harness are lock-free. Payloads are
 // held as references into the runtime's pooled buffer fabric (internal/buf):
 // AppendShared retains the sender's single payload copy instead of cloning
-// it, and Truncate — log garbage collection after the destination cluster
-// checkpoints — releases the references so the storage recycles.
+// it, Replay hands that same buffer back to the runtime with a reference of
+// its own, and Truncate — log garbage collection after the destination
+// cluster checkpoints — releases the references so the storage recycles.
+// Only Restore, which gives a failed rank its log back from a checkpoint,
+// copies payloads.
 //
 // The store tracks both the currently retained volume (which can shrink when
 // logs are garbage-collected) and the cumulative logged volume (which only
@@ -30,8 +33,10 @@ import (
 	"repro/internal/mpi"
 )
 
-// Record is one logged message, in the export format of the store: the
-// payload is an independent copy, safe to hold across garbage collection.
+// Record is one logged message as a checkpoint carries it: SnapshotShared
+// returns records whose Payload aliases the log's pooled buffers (valid
+// while the references it hands out are held), checkpoint.Decode returns
+// records with heap payloads, and Restore takes either back into a store.
 type Record struct {
 	Env      mpi.Envelope
 	Payload  []byte
@@ -51,16 +56,6 @@ type entry struct {
 type channelLog struct {
 	mu      sync.Mutex
 	entries []entry
-}
-
-// locate returns the index of the entry with the given seq, or -1. Caller
-// holds c.mu.
-func (c *channelLog) locate(seq uint64) int {
-	i := sort.Search(len(c.entries), func(i int) bool { return c.entries[i].env.Seq >= seq })
-	if i < len(c.entries) && c.entries[i].env.Seq == seq {
-		return i
-	}
-	return -1
 }
 
 // insert places e in sequence order, returning false if an entry with the
@@ -156,80 +151,27 @@ func (s *Store) AppendShared(env mpi.Envelope, payload *buf.Buffer, sendTime flo
 	cl.mu.Unlock()
 }
 
-// Append adds a record, copying its payload. Duplicate sequence numbers are
-// a no-op, as in AppendShared.
-func (s *Store) Append(rec Record) {
-	cl := s.channel(rec.Env.OutChannel())
-	cl.mu.Lock()
-	// Copy into the pool only once insertion is certain.
-	if n := len(cl.entries); n > 0 && rec.Env.Seq <= cl.entries[n-1].env.Seq && cl.locate(rec.Env.Seq) >= 0 {
-		cl.mu.Unlock()
-		return
-	}
-	pb := buf.Copy(rec.Payload)
-	if cl.insert(entry{env: rec.Env, payload: pb, sendTime: rec.SendTime}) {
-		s.account(pb.Len())
-	} else {
-		pb.Release()
-	}
-	cl.mu.Unlock()
-}
-
-// export converts an internal entry to the public Record form, copying the
-// payload out of the pooled fabric.
-func (e *entry) export() Record {
-	return Record{
-		Env:      e.env,
-		Payload:  append([]byte(nil), e.payload.Bytes()...),
-		SendTime: e.sendTime,
-	}
-}
-
-// Get returns the record with the given sequence number on the channel to
-// (dstWorld, commID).
-func (s *Store) Get(dstWorld, commID int, seq uint64) (Record, bool) {
+// Replay hands every record on the channel to (dstWorld, commID) with a
+// sequence number in (seen, sent] to fn, in sequence order, without copying
+// a payload byte: each call gets a reference of its own to the logged
+// buffer, which fn takes over whether or not it succeeds. Replay stops at
+// fn's first error and returns it. fn runs under the channel's lock, so it
+// must not call back into the store.
+func (s *Store) Replay(dstWorld, commID int, seen, sent uint64, fn func(env mpi.Envelope, payload *buf.Buffer) error) error {
 	cl := s.lookup(mpi.ChanKey{Peer: dstWorld, Comm: commID})
-	if cl == nil {
-		return Record{}, false
-	}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	i := cl.locate(seq)
-	if i < 0 {
-		return Record{}, false
-	}
-	return cl.entries[i].export(), true
-}
-
-// Range returns a copy of the records on the channel to (dstWorld, commID)
-// with sequence number >= fromSeq, in sequence order.
-func (s *Store) Range(dstWorld, commID int, fromSeq uint64) []Record {
-	cl := s.lookup(mpi.ChanKey{Peer: dstWorld, Comm: commID})
-	if cl == nil {
+	if cl == nil || sent <= seen {
 		return nil
 	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	i := sort.Search(len(cl.entries), func(i int) bool { return cl.entries[i].env.Seq >= fromSeq })
-	out := make([]Record, 0, len(cl.entries)-i)
-	for ; i < len(cl.entries); i++ {
-		out = append(out, cl.entries[i].export())
+	i := sort.Search(len(cl.entries), func(i int) bool { return cl.entries[i].env.Seq > seen })
+	for ; i < len(cl.entries) && cl.entries[i].env.Seq <= sent; i++ {
+		e := &cl.entries[i]
+		if err := fn(e.env, e.payload.Retain()); err != nil {
+			return err
+		}
 	}
-	return out
-}
-
-// MaxSeq returns the highest logged sequence number on the channel, or 0.
-func (s *Store) MaxSeq(dstWorld, commID int) uint64 {
-	cl := s.lookup(mpi.ChanKey{Peer: dstWorld, Comm: commID})
-	if cl == nil {
-		return 0
-	}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if len(cl.entries) == 0 {
-		return 0
-	}
-	return cl.entries[len(cl.entries)-1].env.Seq
+	return nil
 }
 
 // Truncate drops every record with sequence number <= uptoSeq on the channel
@@ -241,8 +183,8 @@ func (s *Store) MaxSeq(dstWorld, commID int) uint64 {
 // The channel-map read lock is held for the whole operation (not just the
 // shard lookup): the background committer garbage-collects remote logs
 // concurrently with recovery, and holding the read lock here lets
-// RestoreFrom's map swap act as a barrier — once RestoreFrom holds the write
-// lock, no in-flight Truncate still references an orphaned shard or its
+// Restore's map swap act as a barrier — once Restore holds the write lock,
+// no in-flight Truncate still references an orphaned shard or its
 // accounting.
 func (s *Store) Truncate(dstWorld, commID int, uptoSeq uint64) int {
 	s.mu.RLock()
@@ -294,39 +236,6 @@ func (s *Store) CumulativeBytes() uint64 { return s.cumulativeBytes.Load() }
 // CumulativeCount returns the total number of records ever logged.
 func (s *Store) CumulativeCount() uint64 { return s.cumulativeCount.Load() }
 
-// Snapshot returns a deep copy of the store, used when the log is saved as
-// part of a coordinated checkpoint (Algorithm 1 line 15 saves (State, Logs)).
-// Channels are copied one at a time, so a snapshot taken while other shards
-// mutate is a per-channel-consistent cut rather than a global point in time;
-// the retained counters are recomputed from the copied entries, so the
-// snapshot's accounting always matches its contents exactly. (The engine
-// snapshots only at quiesced points, where the cut is exact.)
-func (s *Store) Snapshot() *Store {
-	cp := New()
-	var retBytes, retCount uint64
-	for _, key := range s.Channels() {
-		cl := s.lookup(key)
-		if cl == nil {
-			continue
-		}
-		cl.mu.Lock()
-		entries := make([]entry, len(cl.entries))
-		for i := range cl.entries {
-			e := &cl.entries[i]
-			entries[i] = entry{env: e.env, payload: buf.Copy(e.payload.Bytes()), sendTime: e.sendTime}
-			retBytes += uint64(e.payload.Len())
-			retCount++
-		}
-		cl.mu.Unlock()
-		cp.channels[key] = &channelLog{entries: entries}
-	}
-	cp.retainedBytes.Store(retBytes)
-	cp.retainedCount.Store(retCount)
-	cp.cumulativeBytes.Store(s.cumulativeBytes.Load())
-	cp.cumulativeCount.Store(s.cumulativeCount.Load())
-	return cp
-}
-
 // SnapshotShared returns every record of the store in channel/sequence order
 // without copying a single payload byte: the Payload slices alias the pooled
 // buffers, and the returned references keep that storage alive across later
@@ -354,27 +263,49 @@ func (s *Store) SnapshotShared() ([]Record, []*buf.Buffer) {
 	return out, refs
 }
 
-// RestoreFrom replaces the content of s with a deep copy of other, releasing
-// the payload references s currently holds.
+// Restore replaces the content of s with recs, the log a checkpoint carries
+// (SnapshotShared's records, or their decoded copies), and releases the
+// references s held. Each payload is copied once into the pool, so the
+// store owns its log independently of recs. Afterwards the retained and the
+// cumulative volume both equal the volume of recs: a failed rank's log
+// history restarts at its checkpoint. A duplicate sequence number keeps the
+// first record.
 //
-// Unlike the append/read/GC operations, RestoreFrom is NOT safe against a
+// Unlike the append/replay/GC operations, Restore is NOT safe against a
 // concurrent appender on s: an append racing the channel-map swap could land
 // in an orphaned shard and be lost. The caller must quiesce the store's
 // writer first — the engine only restores during rollback, between recovery
 // rendezvous, when the owning rank performs no sends.
-func (s *Store) RestoreFrom(other *Store) {
-	cp := other.Snapshot()
-	// Swap the map and the retained counters under one write lock: Truncate
-	// holds the read lock for its whole run, so after this critical section
-	// no concurrent GC still operates on an orphaned shard or subtracts from
+func (s *Store) Restore(recs []Record) {
+	channels := make(map[mpi.ChanKey]*channelLog)
+	var bytes, count uint64
+	for i := range recs {
+		r := &recs[i]
+		key := r.Env.OutChannel()
+		cl := channels[key]
+		if cl == nil {
+			cl = &channelLog{}
+			channels[key] = cl
+		}
+		pb := buf.Copy(r.Payload)
+		if !cl.insert(entry{env: r.Env, payload: pb, sendTime: r.SendTime}) {
+			pb.Release()
+			continue
+		}
+		bytes += uint64(pb.Len())
+		count++
+	}
+	// Swap the map and the counters under one write lock: Truncate holds
+	// the read lock for its whole run, so after this critical section no
+	// concurrent GC still operates on an orphaned shard or subtracts from
 	// the new counters entries it dropped from the old ones.
 	s.mu.Lock()
 	old := s.channels
-	s.channels = cp.channels
-	s.retainedBytes.Store(cp.retainedBytes.Load())
-	s.retainedCount.Store(cp.retainedCount.Load())
-	s.cumulativeBytes.Store(cp.cumulativeBytes.Load())
-	s.cumulativeCount.Store(cp.cumulativeCount.Load())
+	s.channels = channels
+	s.retainedBytes.Store(bytes)
+	s.retainedCount.Store(count)
+	s.cumulativeBytes.Store(bytes)
+	s.cumulativeCount.Store(count)
 	s.mu.Unlock()
 	for _, cl := range old {
 		cl.mu.Lock()

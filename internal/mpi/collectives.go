@@ -14,14 +14,13 @@ import (
 // SPBC's sender-based logging and identifier matching apply to them without
 // any special handling.
 //
-// Algorithms: dissemination barrier, binomial-tree broadcast, reduce and
-// gather, Bruck allgather, recursive-doubling scan, allreduce via
-// reduce+broadcast, linear scatter and pairwise alltoall. Everything except
-// scatter and alltoall is O(log n) in rounds — at 10k+ ranks an O(n)-step
-// ring or linear chain dominates both the simulated makespan and the host
-// time, so the log-round algorithms are what makes world-sized collectives
-// (CommSplit's membership exchange, the clustering profile allgather)
-// affordable at scale. Each collective call consumes one slot of the
+// Algorithms: dissemination barrier, binomial-tree broadcast and reduce,
+// Bruck allgather, allreduce via reduce+broadcast and pairwise alltoall.
+// Everything except alltoall is O(log n) in rounds — at 10k+ ranks an
+// O(n)-step ring or linear chain dominates both the simulated makespan and
+// the host time, so the log-round algorithms are what makes world-sized
+// collectives (the solver's allreduce, application allgathers) affordable
+// at scale. Each collective call consumes one slot of the
 // per-communicator collective sequence so that tags of distinct collective
 // invocations never collide.
 
@@ -31,7 +30,7 @@ import (
 // allocate 2·n tiny buffers, and every reduction its working vectors.
 type collScratch struct {
 	bar   [2]byte   // Barrier tokens: byte 0 outgoing, byte 1 incoming
-	f64   []float64 // ReduceF64/ScanF64 working vectors
+	f64   []float64 // ReduceF64 working vectors
 	bytes []byte    // float64 collectives' wire buffers
 }
 
@@ -360,102 +359,6 @@ func (p *Proc) AllgatherF64(send []float64, comm *Comm) ([]float64, error) {
 	return out, nil
 }
 
-// GatherBytes gathers each rank's contribution (identical lengths) to the
-// root, which receives the concatenation in comm-rank order; other ranks
-// receive nil. A binomial tree (rotated so the root is virtual rank 0, like
-// BcastBytes/ReduceF64) replaces the old linear root-receives-from-everyone
-// loop: the root now takes log n receives instead of n-1, with intermediate
-// nodes forwarding their whole collected subtree in one message.
-func (p *Proc) GatherBytes(send []byte, root int, comm *Comm) ([]byte, error) {
-	if comm == nil {
-		comm = p.world.worldComm
-	}
-	me, err := p.me(comm)
-	if err != nil {
-		return nil, err
-	}
-	n := comm.Size()
-	tag := p.nextCollTag(comm)
-	blk := len(send)
-	vrank := (me - root + n) % n
-	// My subtree spans virtual ranks [vrank, vrank+sub): sized upfront so a
-	// leaf allocates one block, not O(n).
-	sub := 1
-	for mask := 1; mask < n; mask <<= 1 {
-		if vrank&mask != 0 {
-			break
-		}
-		if child := vrank + mask; child < n {
-			cnt := mask
-			if n-child < cnt {
-				cnt = n - child
-			}
-			sub += cnt
-		}
-	}
-	acc := make([]byte, sub*blk)
-	copy(acc, send)
-	have := 1
-	for mask := 1; mask < n; mask <<= 1 {
-		if vrank&mask != 0 {
-			parent := ((vrank &^ mask) + root) % n
-			return nil, p.sendColl(acc[:have*blk], parent, tag, comm)
-		}
-		child := vrank + mask
-		if child < n {
-			cnt := mask
-			if n-child < cnt {
-				cnt = n - child
-			}
-			if err := p.recvColl(acc[mask*blk:(mask+cnt)*blk], (child+root)%n, tag, comm); err != nil {
-				return nil, err
-			}
-			have = mask + cnt
-		}
-	}
-	// Virtual rank 0 is the root: translate from virtual to comm-rank order.
-	out := make([]byte, blk*n)
-	for i := 0; i < n; i++ {
-		r := (i + root) % n
-		copy(out[r*blk:(r+1)*blk], acc[i*blk:(i+1)*blk])
-	}
-	return out, nil
-}
-
-// ScatterBytes scatters equal-size blocks of buf (significant at root only)
-// to the members of comm; every rank receives its block.
-func (p *Proc) ScatterBytes(buf []byte, blockLen, root int, comm *Comm) ([]byte, error) {
-	if comm == nil {
-		comm = p.world.worldComm
-	}
-	me, err := p.me(comm)
-	if err != nil {
-		return nil, err
-	}
-	n := comm.Size()
-	tag := p.nextCollTag(comm)
-	mine := make([]byte, blockLen)
-	if me == root {
-		if len(buf) < blockLen*n {
-			return nil, fmt.Errorf("mpi: scatter buffer too small: %d < %d", len(buf), blockLen*n)
-		}
-		copy(mine, buf[me*blockLen:(me+1)*blockLen])
-		for r := 0; r < n; r++ {
-			if r == root {
-				continue
-			}
-			if err := p.sendColl(buf[r*blockLen:(r+1)*blockLen], r, tag, comm); err != nil {
-				return nil, err
-			}
-		}
-		return mine, nil
-	}
-	if err := p.recvColl(mine, root, tag, comm); err != nil {
-		return nil, err
-	}
-	return mine, nil
-}
-
 // AlltoallBytes exchanges equal-size blocks between all pairs: rank i sends
 // send[j*blockLen:(j+1)*blockLen] to rank j and receives rank j's i-th block.
 // The pairwise-exchange algorithm is used (n-1 steps).
@@ -488,84 +391,6 @@ func (p *Proc) AlltoallBytes(send []byte, blockLen int, comm *Comm) ([]byte, err
 		}
 		if err := p.waitColl(rreq); err != nil {
 			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// ScanF64 computes the inclusive prefix reduction over comm ranks: rank i
-// receives op(send_0, ..., send_i). Recursive doubling replaces the old
-// linear chain (rank i waited on i-1): log n rounds, in round d every rank
-// passes the reduction of its current window [i-d+1, i] to rank i+d and
-// prepends the window arriving from rank i-d, so contiguous windows merge
-// left-to-right exactly as the chain did.
-func (p *Proc) ScanF64(send, recv []float64, op Op, comm *Comm) error {
-	if comm == nil {
-		comm = p.world.worldComm
-	}
-	me, err := p.me(comm)
-	if err != nil {
-		return err
-	}
-	if len(recv) < len(send) {
-		return fmt.Errorf("mpi: scan receive buffer too small")
-	}
-	n := comm.Size()
-	tag := p.nextCollTag(comm)
-	// carry is the reduction of my window; it both feeds the next peer and,
-	// on the final round of a rank, is the finished prefix. All working
-	// vectors are rank scratch; the posted receive and the outgoing send of
-	// a round use separate halves of the byte scratch.
-	work := p.f64Work(2 * len(send))
-	carry, tmp := work[:len(send)], work[len(send):]
-	copy(carry, send)
-	wire := p.byteWork(16 * len(send))
-	buf, out := wire[:8*len(send)], wire[8*len(send):]
-	for d := 1; d < n; d *= 2 {
-		var rreq *Request
-		if me-d >= 0 {
-			if rreq, err = p.irecv(buf, comm.WorldRank(me-d), tag, comm); err != nil {
-				return err
-			}
-		}
-		if me+d < n {
-			if err := p.sendColl(encodeF64(out, carry), me+d, tag, comm); err != nil {
-				return err
-			}
-		}
-		if rreq != nil {
-			if err := p.waitColl(rreq); err != nil {
-				return err
-			}
-			decodeF64(buf, tmp)
-			for i := range carry {
-				carry[i] = op.apply(tmp[i], carry[i])
-			}
-		}
-	}
-	copy(recv, carry)
-	return nil
-}
-
-// allgatherSplit exchanges split entries among the members of comm; used by
-// CommSplit.
-func (p *Proc) allgatherSplit(comm *Comm, mine splitEntry) ([]splitEntry, error) {
-	enc := make([]byte, 24)
-	binary.LittleEndian.PutUint64(enc[0:], uint64(int64(mine.Color)))
-	binary.LittleEndian.PutUint64(enc[8:], uint64(int64(mine.Key)))
-	binary.LittleEndian.PutUint64(enc[16:], uint64(int64(mine.World)))
-	raw, err := p.AllgatherBytes(enc, comm)
-	if err != nil {
-		return nil, err
-	}
-	n := comm.Size()
-	out := make([]splitEntry, n)
-	for i := 0; i < n; i++ {
-		b := raw[i*24 : (i+1)*24]
-		out[i] = splitEntry{
-			Color: int(int64(binary.LittleEndian.Uint64(b[0:]))),
-			Key:   int(int64(binary.LittleEndian.Uint64(b[8:]))),
-			World: int(int64(binary.LittleEndian.Uint64(b[16:]))),
 		}
 	}
 	return out, nil

@@ -137,45 +137,6 @@ func TestAllgather(t *testing.T) {
 	})
 }
 
-func TestGatherScatter(t *testing.T) {
-	runSizes(t, collectiveSizes, func(w *World, p *Proc) error {
-		comm := w.CommWorld()
-		n := comm.Size()
-		root := n - 1
-		send := []byte{byte(p.Rank() + 1)}
-		gathered, err := p.GatherBytes(send, root, comm)
-		if err != nil {
-			return err
-		}
-		if p.Rank() == root {
-			for r := 0; r < n; r++ {
-				if gathered[r] != byte(r+1) {
-					return fmt.Errorf("gather block %d = %d", r, gathered[r])
-				}
-			}
-		} else if gathered != nil {
-			return fmt.Errorf("non-root should not receive gathered data")
-		}
-
-		var scatterBuf []byte
-		if p.Rank() == root {
-			scatterBuf = make([]byte, 2*n)
-			for r := 0; r < n; r++ {
-				scatterBuf[2*r] = byte(r)
-				scatterBuf[2*r+1] = byte(r * 3)
-			}
-		}
-		mine, err := p.ScatterBytes(scatterBuf, 2, root, comm)
-		if err != nil {
-			return err
-		}
-		if mine[0] != byte(p.Rank()) || mine[1] != byte(p.Rank()*3) {
-			return fmt.Errorf("scatter block on rank %d = %v", p.Rank(), mine)
-		}
-		return nil
-	})
-}
-
 func TestAlltoall(t *testing.T) {
 	runSizes(t, collectiveSizes, func(w *World, p *Proc) error {
 		comm := w.CommWorld()
@@ -198,107 +159,15 @@ func TestAlltoall(t *testing.T) {
 	})
 }
 
-func TestScan(t *testing.T) {
-	runSizes(t, collectiveSizes, func(w *World, p *Proc) error {
-		comm := w.CommWorld()
-		send := []float64{1}
-		recv := make([]float64, 1)
-		if err := p.ScanF64(send, recv, OpSum, comm); err != nil {
-			return err
-		}
-		if recv[0] != float64(p.Rank()+1) {
-			return fmt.Errorf("scan on rank %d = %g, want %d", p.Rank(), recv[0], p.Rank()+1)
-		}
-		return nil
-	})
-}
-
-func TestCommSplitAndSubCommunication(t *testing.T) {
-	w := testWorld(t, 8)
-	err := w.Run(func(p *Proc) error {
-		world := w.CommWorld()
-		color := p.Rank() % 2
-		sub, err := p.CommSplit(world, color, p.Rank())
-		if err != nil {
-			return err
-		}
-		if sub == nil {
-			return fmt.Errorf("rank %d got nil sub-communicator", p.Rank())
-		}
-		if sub.Size() != 4 {
-			return fmt.Errorf("sub communicator size %d, want 4", sub.Size())
-		}
-		me := sub.CommRank(p.Rank())
-		if me < 0 {
-			return fmt.Errorf("rank %d not a member of its own sub-communicator", p.Rank())
-		}
-		// Allreduce within the sub-communicator: sum of world ranks of members.
-		send := []float64{float64(p.Rank())}
-		recv := make([]float64, 1)
-		if err := p.AllreduceF64(send, recv, OpSum, sub); err != nil {
-			return err
-		}
-		want := 0.0
-		for _, r := range sub.Members() {
-			want += float64(r)
-		}
-		if recv[0] != want {
-			return fmt.Errorf("sub allreduce = %g, want %g", recv[0], want)
-		}
-		// Channels in the sub-communicator are independent of world channels.
-		if sub.ID() == world.ID() {
-			return fmt.Errorf("sub communicator must have its own ID")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCommSplitUndefinedColor(t *testing.T) {
-	w := testWorld(t, 4)
-	err := w.Run(func(p *Proc) error {
-		color := 0
-		if p.Rank() == 3 {
-			color = -1 // MPI_UNDEFINED
-		}
-		sub, err := p.CommSplit(w.CommWorld(), color, 0)
-		if err != nil {
-			return err
-		}
-		if p.Rank() == 3 {
-			if sub != nil {
-				return fmt.Errorf("undefined color should return nil communicator")
-			}
-			return nil
-		}
-		if sub == nil || sub.Size() != 3 {
-			return fmt.Errorf("expected a 3-member sub-communicator")
-		}
-		return p.Barrier(sub)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCollectiveOnNonMemberRejected(t *testing.T) {
 	w := testWorld(t, 4)
-	err := w.Run(func(p *Proc) error {
-		color := 0
+	ranks01, err := w.InternComm([]int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.Run(func(p *Proc) error {
 		if p.Rank() >= 2 {
-			color = 1
-		}
-		sub, err := p.CommSplit(w.CommWorld(), color, 0)
-		if err != nil {
-			return err
-		}
-		other := sub
-		_ = other
-		if color == 1 {
 			// Try to use a communicator we are not a member of.
-			ranks01 := w.internComm([]int{0, 1})
 			if err := p.Barrier(ranks01); err == nil {
 				return fmt.Errorf("barrier on a non-member communicator must fail")
 			}
@@ -437,37 +306,6 @@ func TestCostModelIntraNodeUsedInWorld(t *testing.T) {
 	}
 }
 
-// TestGatherAllRoots sweeps every root at every collective size: the binomial
-// gather rotates ranks around the root the way BcastBytes/ReduceF64 do, and
-// the rotation arithmetic (virtual ranks, clipped subtrees at non-powers of
-// two) must hold for every (size, root) shape the linear version handled.
-func TestGatherAllRoots(t *testing.T) {
-	runSizes(t, collectiveSizes, func(w *World, p *Proc) error {
-		comm := w.CommWorld()
-		n := comm.Size()
-		for root := 0; root < n; root++ {
-			send := []byte{byte(p.Rank() * 3), byte(root), byte(p.Rank() + root)}
-			gathered, err := p.GatherBytes(send, root, comm)
-			if err != nil {
-				return err
-			}
-			if p.Rank() != root {
-				if gathered != nil {
-					return fmt.Errorf("non-root %d received gathered data for root %d", p.Rank(), root)
-				}
-				continue
-			}
-			for r := 0; r < n; r++ {
-				blk := gathered[3*r : 3*r+3]
-				if blk[0] != byte(r*3) || blk[1] != byte(root) || blk[2] != byte(r+root) {
-					return fmt.Errorf("root %d gather block %d = %v", root, r, blk)
-				}
-			}
-		}
-		return nil
-	})
-}
-
 // TestReduceAllRoots pins the rotated-root shapes of the binomial reduce.
 func TestReduceAllRoots(t *testing.T) {
 	runSizes(t, collectiveSizes, func(w *World, p *Proc) error {
@@ -518,52 +356,24 @@ func TestAllgatherLargeBlocks(t *testing.T) {
 	})
 }
 
-// TestScanMultiElement checks the recursive-doubling scan element-wise on
-// vectors, including max (a non-invertible op: window merging must never
-// double-count a contribution).
-func TestScanMultiElement(t *testing.T) {
-	runSizes(t, collectiveSizes, func(w *World, p *Proc) error {
-		comm := w.CommWorld()
-		me := p.Rank()
-		send := []float64{float64(me + 1), float64(2 * (me + 1)), float64(comm.Size() - me)}
-		recv := make([]float64, 3)
-		if err := p.ScanF64(send, recv, OpSum, comm); err != nil {
-			return err
-		}
-		k := float64(me + 1)
-		if recv[0] != k*(k+1)/2 || recv[1] != k*(k+1) {
-			return fmt.Errorf("rank %d scan sum = %v", me, recv[:2])
-		}
-		if err := p.ScanF64(send, recv, OpMax, comm); err != nil {
-			return err
-		}
-		if recv[0] != float64(me+1) || recv[2] != float64(comm.Size()) {
-			return fmt.Errorf("rank %d scan max = %v", me, recv)
-		}
-		return nil
-	})
-}
-
-// TestCollectivesOnSubComm runs the reworked collectives on a strided
+// TestCollectivesOnSubComm runs the collectives on a strided
 // sub-communicator (members 0, 2, 4, ... of the world) with a rotated root:
 // every peer index the algorithms compute is comm-relative and must survive
 // the world-rank translation.
 func TestCollectivesOnSubComm(t *testing.T) {
 	w := testWorld(t, 9)
-	err := w.Run(func(p *Proc) error {
-		world := w.CommWorld()
-		color := -1
-		if p.Rank()%2 == 0 {
-			color = 0
-		}
-		sub, err := p.CommSplit(world, color, p.Rank())
-		if err != nil {
-			return err
-		}
-		if sub == nil {
+	sub, err := w.InternComm([]int{0, 2, 4, 6, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.ID() == w.CommWorld().ID() {
+		t.Fatal("sub communicator must have its own ID")
+	}
+	err = w.Run(func(p *Proc) error {
+		if p.Rank()%2 != 0 {
 			return nil
 		}
-		n := sub.Size() // 5 members: world ranks 0 2 4 6 8
+		n := sub.Size()
 		me := sub.CommRank(p.id)
 		out, err := p.AllgatherBytes([]byte{byte(10 + me)}, sub)
 		if err != nil {
@@ -575,23 +385,19 @@ func TestCollectivesOnSubComm(t *testing.T) {
 			}
 		}
 		root := n - 2
-		gathered, err := p.GatherBytes([]byte{byte(me * 2)}, root, sub)
-		if err != nil {
-			return err
-		}
-		if me == root {
-			for r := 0; r < n; r++ {
-				if gathered[r] != byte(r*2) {
-					return fmt.Errorf("sub gather block %d = %d", r, gathered[r])
-				}
-			}
-		}
 		recv := make([]float64, 1)
-		if err := p.ScanF64([]float64{1}, recv, OpSum, sub); err != nil {
+		if err := p.ReduceF64([]float64{float64(me + 1)}, recv, OpSum, root, sub); err != nil {
 			return err
 		}
-		if recv[0] != float64(me+1) {
-			return fmt.Errorf("sub scan on member %d = %g", me, recv[0])
+		if me == root && recv[0] != float64(n*(n+1)/2) {
+			return fmt.Errorf("sub reduce to root %d = %g, want %d", root, recv[0], n*(n+1)/2)
+		}
+		// Sum of the members' world ranks: 0+2+4+6+8.
+		if err := p.AllreduceF64([]float64{float64(p.Rank())}, recv, OpSum, sub); err != nil {
+			return err
+		}
+		if recv[0] != 20 {
+			return fmt.Errorf("sub allreduce on member %d = %g, want 20", me, recv[0])
 		}
 		return nil
 	})
@@ -600,9 +406,9 @@ func TestCollectivesOnSubComm(t *testing.T) {
 	}
 }
 
-// TestInternComm covers the out-of-band communicator constructor the engine
-// uses instead of CommSplit: same membership must intern to the same comm
-// CommSplit would produce, and invalid memberships must be rejected.
+// TestInternComm covers the communicator constructor: the same membership
+// must intern to the same comm, a different one to a comm with its own ID,
+// and invalid memberships must be rejected.
 func TestInternComm(t *testing.T) {
 	w := testWorld(t, 6)
 	groupA := []int{1, 3, 5}
@@ -620,18 +426,12 @@ func TestInternComm(t *testing.T) {
 	if cA2 != cA {
 		t.Fatal("same membership must intern to the same communicator")
 	}
-	err = w.Run(func(p *Proc) error {
-		sub, err := p.CommSplit(w.CommWorld(), p.Rank()%2, p.Rank())
-		if err != nil {
-			return err
-		}
-		if p.Rank()%2 == 1 && sub != cA {
-			return fmt.Errorf("CommSplit of odd ranks must resolve to the pre-interned comm")
-		}
-		return nil
-	})
+	cB, err := w.InternComm([]int{3, 1, 5})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cB == cA || cB.ID() == cA.ID() || cB.CommRank(3) != 0 {
+		t.Fatal("a reordered membership is a different communicator")
 	}
 	for _, bad := range [][]int{nil, {}, {0, 6}, {-1}, {2, 2}} {
 		if _, err := w.InternComm(bad); err == nil {

@@ -19,11 +19,11 @@
 //
 // Checkpointing protocols (SPBC, HydEE) interpose through the Protocol
 // interface: they stamp messages and requests with extra identifiers
-// (pattern, iteration), log payloads at send time, suppress sends during
-// recovery, and track delivery. The runtime additionally exposes the hooks
-// needed for recovery: channel-state snapshot/restore, and replay injection
-// (World.InjectReplay), through which the recovery leader re-delivers logged
-// inter-cluster messages to a rolled-back cluster.
+// (pattern, iteration), log payloads at send time and suppress sends during
+// recovery. The runtime additionally exposes the hooks needed for recovery:
+// channel-state snapshot/restore, and replay injection (World.InjectReplay),
+// through which the recovery leader re-delivers logged inter-cluster
+// messages, in the logged buffers themselves, to a rolled-back cluster.
 package mpi
 
 import (

@@ -73,8 +73,9 @@ type ProcStats struct {
 	Suppressed uint64 // sends skipped during recovery
 }
 
-// snapshotBytesToDst returns a copy of the per-destination byte counters.
-func (s *ProcStats) snapshotBytesToDst() map[int]uint64 {
+// PerDestinationBytes returns a copy of the per-destination byte counters,
+// used to build communication profiles for the clustering partitioner.
+func (s *ProcStats) PerDestinationBytes() map[int]uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[int]uint64, len(s.BytesToDst))
@@ -82,12 +83,6 @@ func (s *ProcStats) snapshotBytesToDst() map[int]uint64 {
 		out[k] = v
 	}
 	return out
-}
-
-// PerDestinationBytes returns a copy of the per-destination byte counters,
-// used to build communication profiles for the clustering partitioner.
-func (s *ProcStats) PerDestinationBytes() map[int]uint64 {
-	return s.snapshotBytesToDst()
 }
 
 // Snapshot returns a copy of the statistics.
@@ -913,7 +908,7 @@ func (p *Proc) Testall(reqs []*Request) (bool, error) {
 }
 
 // finalize applies the effects of a completed request: clock advance,
-// statistics, payload copy, protocol delivery callback and trace event. For a
+// statistics, payload copy and trace event. For a
 // receive it consumes the matched message: the payload reference and the
 // message header are both recycled here.
 func (p *Proc) finalize(req *Request, waitStart float64) (Status, error) {
@@ -947,7 +942,6 @@ func (p *Proc) finalize(req *Request, waitStart float64) (Status, error) {
 		p.Stats.Recvs++
 		p.Stats.BytesRecv += uint64(msg.env.Bytes)
 		p.Stats.mu.Unlock()
-		p.protocol.OnDeliver(p, msg.env)
 		if p.world.rec != nil {
 			p.world.rec.Record(trace.Event{
 				Kind:    trace.EventDeliver,

@@ -511,7 +511,7 @@ func TestStatsCounters(t *testing.T) {
 	if s1.Recvs != 1 || s1.BytesRecv != 100 {
 		t.Errorf("receiver stats wrong: %+v", s1)
 	}
-	byDst := w.Proc(0).Stats.snapshotBytesToDst()
+	byDst := w.Proc(0).Stats.PerDestinationBytes()
 	if byDst[1] != 100 {
 		t.Errorf("per-destination bytes wrong: %v", byDst)
 	}

@@ -35,10 +35,6 @@ type Protocol interface {
 	// be matched with a message carrying identifier msg, in addition to the
 	// standard source/tag/communicator rules (Section 5.2.1).
 	ExtraMatch(req, msg MatchID) bool
-
-	// OnDeliver is called when a message is delivered to the application
-	// (at Wait/Test completion of the reception request).
-	OnDeliver(p *Proc, env Envelope)
 }
 
 // NopProtocol is the default protocol: native MPI behaviour, no logging, no
@@ -56,8 +52,5 @@ func (NopProtocol) OnSend(*Proc, Envelope, *buf.Buffer) (bool, float64) { return
 
 // ExtraMatch ignores identifiers, as unmodified MPICH does.
 func (NopProtocol) ExtraMatch(MatchID, MatchID) bool { return true }
-
-// OnDeliver does nothing.
-func (NopProtocol) OnDeliver(*Proc, Envelope) {}
 
 var _ Protocol = NopProtocol{}

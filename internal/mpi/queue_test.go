@@ -60,11 +60,20 @@ func TestMatchIndexesStayBounded(t *testing.T) {
 	w := testWorld(t, n)
 	peak := make([]queueSizes, n)
 	atTenth := make([]queueSizes, n)
-	err := w.Run(func(p *Proc) error {
-		sub, err := p.CommSplit(w.CommWorld(), p.Rank()%2, 0)
+	var halves [2][]int // even and odd world ranks
+	for r := 0; r < n; r++ {
+		halves[r%2] = append(halves[r%2], r)
+	}
+	var subs [2]*Comm
+	for i, members := range halves {
+		c, err := w.InternComm(members)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
+		subs[i] = c
+	}
+	err := w.Run(func(p *Proc) error {
+		sub := subs[p.Rank()%2]
 		send := []float64{float64(p.Rank()), 1}
 		recv := make([]float64, 2)
 		bcast := make([]byte, 24)

@@ -27,7 +27,7 @@ type Request struct {
 
 	// Completion.
 	done         bool
-	finalized    bool // OnDeliver/statistics already applied
+	finalized    bool // statistics already applied
 	completeTime float64
 	status       Status
 	msg          *inMessage

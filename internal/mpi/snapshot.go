@@ -190,18 +190,22 @@ func (p *Proc) OutSeq(dstWorld, commID int) uint64 {
 	return st.seq
 }
 
-// InjectReplay delivers a message replayed from a sender log. The message
-// becomes available to the destination at availTime (virtual time); it is
-// marked as replayed so that it bypasses network-chaos holding. A replay
-// overlapping a direct transmission is dropped by the duplicate filter.
-func (w *World) InjectReplay(env Envelope, payload []byte, availTime float64) error {
+// InjectReplay delivers a message replayed from a sender log. It takes over
+// the caller's reference to payload, as a send does with its buffer: the
+// message releases it when the destination consumes or drops the message,
+// and InjectReplay releases it on error. The message becomes available to
+// the destination at availTime (virtual time); it is marked as replayed so
+// that it bypasses network-chaos holding. A replay overlapping a direct
+// transmission is dropped by the duplicate filter.
+func (w *World) InjectReplay(env Envelope, payload *bufpkg.Buffer, availTime float64) error {
 	if env.Dest < 0 || env.Dest >= w.size {
+		payload.Release()
 		return fmt.Errorf("mpi: replay destination %d out of range", env.Dest)
 	}
 	dst := w.procs[env.Dest]
 	msg := newMsg()
 	msg.env = env
-	msg.payload = bufpkg.Copy(payload)
+	msg.payload = payload
 	msg.arriveTime = availTime
 	msg.eager = true
 	msg.replayed = true

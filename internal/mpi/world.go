@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -274,12 +273,12 @@ func groupSignature(group []int) string {
 }
 
 // InternComm returns the communicator with exactly the given membership
-// (world ranks, in comm-rank order), creating it on first use. It is the
-// out-of-band counterpart of CommSplit for callers that already know the
-// full membership on every rank — the engine interns each recovery group's
-// comm this way once per group per epoch, when it creates the epoch view,
-// instead of paying a world-sized allgather per rank; ranks then read the
-// comm from the view. Validation and the signature cost O(len(group)), so
+// (world ranks, in comm-rank order), creating it on first use. It is how
+// sub-communicators are made: the caller already knows the full membership
+// on every rank, so no rank exchanges anything — the engine interns each
+// recovery group's comm this way once per group per epoch, when it creates
+// the epoch view, instead of paying a world-sized allgather per rank; ranks
+// then read the comm from the view. Validation and the signature cost O(len(group)), so
 // callers on a per-rank or per-message path should keep the returned comm
 // rather than intern it again. Membership must be non-empty, in-range and
 // duplicate-free.
@@ -338,44 +337,4 @@ func (c *Comm) CommRank(worldRank int) int {
 // Members returns the world ranks of the communicator in comm-rank order.
 func (c *Comm) Members() []int {
 	return append([]int(nil), c.group...)
-}
-
-// splitEntry is the data exchanged during CommSplit.
-type splitEntry struct {
-	Color int
-	Key   int
-	World int
-}
-
-// CommSplit partitions the members of comm into disjoint communicators by
-// color, ordering members of each new communicator by (key, world rank), as
-// MPI_Comm_split does. Every member of comm must call CommSplit with the same
-// comm. A negative color returns nil (the process is not part of any new
-// communicator), mirroring MPI_UNDEFINED.
-func (p *Proc) CommSplit(comm *Comm, color, key int) (*Comm, error) {
-	mine := splitEntry{Color: color, Key: key, World: p.id}
-	all, err := p.allgatherSplit(comm, mine)
-	if err != nil {
-		return nil, err
-	}
-	if color < 0 {
-		return nil, nil
-	}
-	var members []splitEntry
-	for _, e := range all {
-		if e.Color == color {
-			members = append(members, e)
-		}
-	}
-	sort.Slice(members, func(i, j int) bool {
-		if members[i].Key != members[j].Key {
-			return members[i].Key < members[j].Key
-		}
-		return members[i].World < members[j].World
-	})
-	group := make([]int, len(members))
-	for i, e := range members {
-		group[i] = e.World
-	}
-	return p.world.internComm(group), nil
 }
