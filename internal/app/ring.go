@@ -34,6 +34,11 @@ type Ring struct {
 	next     []float64
 	residual float64
 	pattern  uint32
+
+	// halo holds the step's two outgoing boundary cells and two incoming
+	// ghost cells. Every request completes inside Step, so the buffers are
+	// reused from step to step; they are scratch, not checkpointed state.
+	halo [4][8]byte
 }
 
 // NewRing returns a factory for ring-stencil instances with the given number
@@ -76,10 +81,10 @@ func (r *Ring) Step(iter int) error {
 	p.BeginIteration(r.pattern)
 	defer p.EndIteration(r.pattern)
 
-	sendRight := putFloat(nil, r.u[r.cells-1])
-	sendLeft := putFloat(nil, r.u[0])
-	ghostLeft := make([]byte, 8)
-	ghostRight := make([]byte, 8)
+	sendRight, sendLeft := r.halo[0][:], r.halo[1][:]
+	ghostLeft, ghostRight := r.halo[2][:], r.halo[3][:]
+	binary.LittleEndian.PutUint64(sendRight, math.Float64bits(r.u[r.cells-1]))
+	binary.LittleEndian.PutUint64(sendLeft, math.Float64bits(r.u[0]))
 
 	// Post wildcard receives first, then send both boundary cells.
 	rl, err := p.Irecv(ghostLeft, mpi.AnySource, tagRightward)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/app"
@@ -10,17 +11,20 @@ import (
 	"repro/internal/trace"
 )
 
-// runSPBCWithShards executes one SPBC run under the wake path selected by
-// shards and returns the per-rank verify digests plus the recorded trace.
-// With faults, recovery, replay and log GC all run under that wake path too.
-func runSPBCWithShards(t *testing.T, shards, ranks int, faults []Fault) ([]float64, *trace.Recorder) {
+// runSPBCOnProcs executes one SPBC run with GOMAXPROCS set to procs and
+// returns the per-rank verify digests plus the recorded trace. The wake
+// scheduler sizes its shards from GOMAXPROCS, so procs changes both the
+// shard count and how the host interleaves the rank goroutines; with faults,
+// recovery, replay and log GC all run under that interleaving too.
+func runSPBCOnProcs(t *testing.T, procs, ranks int, faults []Fault) ([]float64, *trace.Recorder) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	clusterOf := make([]int, ranks)
 	for r := range clusterOf {
 		clusterOf[r] = r / 8
 	}
 	rec := trace.NewRecorder(ranks)
-	w, err := mpi.NewWorld(ranks, testCost(), mpi.WithRecorder(rec), mpi.WithShards(shards))
+	w, err := mpi.NewWorld(ranks, testCost(), mpi.WithRecorder(rec))
 	if err != nil {
 		t.Fatalf("NewWorld: %v", err)
 	}
@@ -35,55 +39,49 @@ func runSPBCWithShards(t *testing.T, shards, ranks int, faults []Fault) ([]float
 		t.Fatalf("NewEngine: %v", err)
 	}
 	if err := eng.Run(app.NewRing(16, 3)); err != nil {
-		t.Fatalf("engine run (shards=%d): %v", shards, err)
+		t.Fatalf("engine run (GOMAXPROCS=%d): %v", procs, err)
 	}
 	return eng.VerifyValues(), rec
 }
 
-// TestSchedulerParityWithLegacyWakes pins that the shard scheduler is
-// invisible to the simulation: a failure-free SPBC run under the default
-// sharded wake path must produce bit-identical verify digests and a
+// TestSchedulerParityAcrossGOMAXPROCS pins that the wake scheduler is
+// invisible to the simulation: a failure-free SPBC run on one P (4 shards,
+// every rank goroutine time-sliced on one thread) and on four Ps (16 shards,
+// ranks running in parallel) must produce bit-identical verify digests and a
 // bit-identical trace (same per-channel send order, sequence numbers and
-// payload digests, protocol traffic included) as the legacy
-// goroutine-per-rank direct-wake path. Matching order is decided in virtual
-// time under the per-proc lock, so any divergence here means the scheduler
-// leaked into simulated behavior.
-func TestSchedulerParityWithLegacyWakes(t *testing.T) {
+// payload digests, protocol traffic included). Matching order is decided in
+// virtual time under the per-proc lock, so any divergence here means host
+// scheduling leaked into simulated behavior.
+func TestSchedulerParityAcrossGOMAXPROCS(t *testing.T) {
 	const ranks = 64
-	legacyVerify, legacyRec := runSPBCWithShards(t, -1, ranks, nil)
-	for _, shards := range []int{0, 1, 5} {
-		shardVerify, shardRec := runSPBCWithShards(t, shards, ranks, nil)
-		if !reflect.DeepEqual(shardVerify, legacyVerify) {
-			t.Fatalf("shards=%d: verify digests diverged from the legacy path:\n%v\nvs\n%v",
-				shards, shardVerify, legacyVerify)
-		}
-		if err := trace.CheckChannelDeterminism(legacyRec, shardRec); err != nil {
-			t.Fatalf("shards=%d: channel trace diverged from the legacy path: %v", shards, err)
-		}
-		if err := trace.CheckSendDeterminism(legacyRec, shardRec); err != nil {
-			t.Fatalf("shards=%d: send trace diverged from the legacy path: %v", shards, err)
-		}
+	oneVerify, oneRec := runSPBCOnProcs(t, 1, ranks, nil)
+	fourVerify, fourRec := runSPBCOnProcs(t, 4, ranks, nil)
+	if !reflect.DeepEqual(fourVerify, oneVerify) {
+		t.Fatalf("verify digests diverged between GOMAXPROCS 1 and 4:\n%v\nvs\n%v", oneVerify, fourVerify)
+	}
+	if err := trace.CheckChannelDeterminism(oneRec, fourRec); err != nil {
+		t.Fatalf("channel trace diverged between GOMAXPROCS 1 and 4: %v", err)
+	}
+	if err := trace.CheckSendDeterminism(oneRec, fourRec); err != nil {
+		t.Fatalf("send trace diverged between GOMAXPROCS 1 and 4: %v", err)
 	}
 }
 
-// TestSchedulerParityWithLegacyWakesUnderFaults is the same cross-check with
-// crashes and recovery. Which wave a recovery restores is whatever was
+// TestSchedulerParityAcrossGOMAXPROCSUnderFaults is the same cross-check
+// with crashes and recovery. Which wave a recovery restores is whatever was
 // durable at wall-clock fault time, so the number of re-executed sends a raw
 // trace records is a property of the host, not of the wake path. The
 // comparison is therefore on what must not move: the verify digests and the
 // application's per-channel message streams.
-func TestSchedulerParityWithLegacyWakesUnderFaults(t *testing.T) {
+func TestSchedulerParityAcrossGOMAXPROCSUnderFaults(t *testing.T) {
 	const ranks = 64
 	faults := []Fault{{Rank: 3, Iteration: 5}, {Rank: ranks - 1, Iteration: 8}}
-	legacyVerify, legacyRec := runSPBCWithShards(t, -1, ranks, faults)
-	for _, shards := range []int{0, 1, 5} {
-		shardVerify, shardRec := runSPBCWithShards(t, shards, ranks, faults)
-		if !reflect.DeepEqual(shardVerify, legacyVerify) {
-			t.Fatalf("shards=%d: verify digests diverged from the legacy path:\n%v\nvs\n%v",
-				shards, shardVerify, legacyVerify)
-		}
-		if err := trace.CheckFilteredChannelDeterminism(legacyRec, shardRec, appTraffic); err != nil {
-			t.Fatalf("shards=%d: application channel streams diverged from the legacy path: %v", shards, err)
-		}
+	oneVerify, oneRec := runSPBCOnProcs(t, 1, ranks, faults)
+	fourVerify, fourRec := runSPBCOnProcs(t, 4, ranks, faults)
+	if !reflect.DeepEqual(fourVerify, oneVerify) {
+		t.Fatalf("verify digests diverged between GOMAXPROCS 1 and 4:\n%v\nvs\n%v", oneVerify, fourVerify)
+	}
+	if err := trace.CheckFilteredChannelDeterminism(oneRec, fourRec, appTraffic); err != nil {
+		t.Fatalf("application channel streams diverged between GOMAXPROCS 1 and 4: %v", err)
 	}
 }

@@ -1,8 +1,9 @@
 // Package model defines the interfaces shared by the workload kernels and
 // the checkpointing runtimes: Process is the communication API an application
-// programs against (a subset of MPI plus the SPBC pattern API of Section 5.1),
-// and App is the iterative-application contract the runtimes drive
-// (initialize, step, checkpoint, restore, verify).
+// programs against (a subset of MPI — point-to-point with blocking
+// completion, a blocking probe and the collectives — plus the SPBC pattern
+// API of Section 5.1), and App is the iterative-application contract the
+// runtimes drive (initialize, step, checkpoint, restore, verify).
 //
 // Both the core engine (internal/core, under any of its fault-tolerance
 // policies: SPBC, pure coordinated checkpointing, full message logging) and
@@ -15,6 +16,14 @@ import "repro/internal/mpi"
 
 // Process is the communication interface offered to applications. All
 // point-to-point and collective operations act on the world communicator.
+//
+// Requests complete only through the blocking Wait family: there is no
+// non-blocking completion test, probe or clock read, because no kernel
+// polls (every kernel completes its requests inside the step that posted
+// them). The kernels in internal/app call Rank, Size, Compute, Isend, Irecv,
+// Wait, AllreduceF64 and the pattern API; the other methods are the blocking
+// calls and collectives that the benchmark module's tracing decorator times
+// through this interface, so they stay while it wraps them.
 type Process interface {
 	// Rank returns the world rank of the process.
 	Rank() int
@@ -23,8 +32,6 @@ type Process interface {
 	// Compute advances the process's virtual time by the given computation
 	// duration in seconds.
 	Compute(seconds float64)
-	// Now returns the process's current virtual time.
-	Now() float64
 
 	// Send performs a blocking send to dest with the given tag.
 	Send(buf []byte, dest, tag int) error
@@ -40,12 +47,6 @@ type Process interface {
 	Waitall(reqs []*mpi.Request) ([]mpi.Status, error)
 	// Waitany waits for any of the requests to complete.
 	Waitany(reqs []*mpi.Request) (int, mpi.Status, error)
-	// Test checks a request without blocking.
-	Test(req *mpi.Request) (bool, mpi.Status, error)
-	// Testall checks whether all requests have completed.
-	Testall(reqs []*mpi.Request) (bool, error)
-	// Iprobe checks for a matching incoming message without receiving it.
-	Iprobe(src, tag int) (bool, mpi.Status, error)
 	// Probe blocks until a matching message is available.
 	Probe(src, tag int) (mpi.Status, error)
 
@@ -116,9 +117,6 @@ func (n *NativeProcess) Size() int { return n.P.Size() }
 // Compute advances virtual time.
 func (n *NativeProcess) Compute(seconds float64) { n.P.Compute(seconds) }
 
-// Now returns the current virtual time.
-func (n *NativeProcess) Now() float64 { return n.P.Now() }
-
 // Send performs a blocking send on the world communicator.
 func (n *NativeProcess) Send(buf []byte, dest, tag int) error { return n.P.Send(buf, dest, tag, nil) }
 
@@ -146,17 +144,6 @@ func (n *NativeProcess) Waitall(reqs []*mpi.Request) ([]mpi.Status, error) { ret
 // Waitany waits for any request.
 func (n *NativeProcess) Waitany(reqs []*mpi.Request) (int, mpi.Status, error) {
 	return n.P.Waitany(reqs)
-}
-
-// Test checks a request without blocking.
-func (n *NativeProcess) Test(req *mpi.Request) (bool, mpi.Status, error) { return n.P.Test(req) }
-
-// Testall checks whether all requests completed.
-func (n *NativeProcess) Testall(reqs []*mpi.Request) (bool, error) { return n.P.Testall(reqs) }
-
-// Iprobe checks for a matching message.
-func (n *NativeProcess) Iprobe(src, tag int) (bool, mpi.Status, error) {
-	return n.P.Iprobe(src, tag, nil)
 }
 
 // Probe blocks until a matching message is available.

@@ -7,13 +7,13 @@
 //
 //   - reliable FIFO channels per (source, destination, communicator);
 //   - non-blocking sends and receives with requests
-//     (Isend/Irecv/Wait/Waitall/Waitany/Test/Testall);
+//     (Isend/Irecv/Wait/Waitall/Waitany);
 //   - matching of reception requests against incoming messages by
 //     (source, tag, communicator), including the MPI_ANY_SOURCE and
 //     MPI_ANY_TAG wildcards, with a posted-receive queue and an
 //     unexpected-message queue as in MPICH;
 //   - eager and rendezvous protocols selected by message size;
-//   - Iprobe/Probe;
+//   - a blocking Probe;
 //   - collective operations implemented on top of point-to-point
 //     communication (the paper's assumption).
 //

@@ -112,8 +112,8 @@ type ProcStatsView struct {
 }
 
 // Proc is the per-rank handle used by application code. All communication
-// methods (Isend/Irecv/Send/Recv/Iprobe/Probe, the collectives, and the
-// Wait/Test family) must be called from the rank's own goroutine (the one
+// methods (Isend/Irecv/Send/Recv/Probe, the collectives, and the Wait
+// family) must be called from the rank's own goroutine (the one
 // started by World.Run): beyond the virtual clock, they share per-rank
 // scratch state (the stamping envelope, the collective scratch, the request
 // free list) that is deliberately unsynchronized. Other goroutines touch a
@@ -132,9 +132,9 @@ type Proc struct {
 
 	mu sync.Mutex
 	// wake carries the one wake token of the rank's own goroutine, the only
-	// goroutine that ever blocks on p (Wait/Waitany/Probe). parked, guarded
-	// by mu, is set while it sleeps and cleared when the token is sent; see
-	// sched.go for the parking protocol.
+	// goroutine that ever blocks on p (Wait/Waitany/Probe, all through
+	// blockLocked). parked, guarded by mu, is set while it sleeps and
+	// cleared when the token is sent; see sched.go for the parking protocol.
 	wake   chan struct{}
 	parked bool
 	// wakeQueued coalesces shard-mailbox wakeups: set while the rank is
@@ -704,23 +704,44 @@ func (p *Proc) completeExternal(req *Request, t float64) {
 
 // Irecv posts a non-blocking reception request for a message from the
 // comm-relative rank src (or AnySource) with the given tag (or AnyTag). The
-// message payload is copied into buf at completion (Wait/Test).
+// message payload is copied into buf at completion (Wait).
 func (p *Proc) Irecv(buf []byte, src, tag int, comm *Comm) (*Request, error) {
 	if comm == nil {
 		comm = p.world.worldComm
 	}
-	srcWorld := AnySource
-	if src != AnySource {
-		srcWorld = comm.WorldRank(src)
-		if srcWorld < 0 {
-			return nil, fmt.Errorf("mpi: rank %d: invalid source %d in communicator %d (size %d)",
-				p.id, src, comm.id, comm.Size())
-		}
+	srcWorld, err := p.worldSource(src, comm)
+	if err != nil {
+		return nil, err
 	}
 	if tag != AnyTag && (tag < 0 || tag > MaxAppTag) {
 		return nil, fmt.Errorf("mpi: rank %d: invalid tag %d", p.id, tag)
 	}
 	return p.irecv(buf, srcWorld, tag, comm)
+}
+
+// worldSource translates a comm-relative source (or AnySource) to a world
+// rank.
+func (p *Proc) worldSource(src int, comm *Comm) (int, error) {
+	if src == AnySource {
+		return AnySource, nil
+	}
+	if w := comm.WorldRank(src); w >= 0 {
+		return w, nil
+	}
+	return 0, fmt.Errorf("mpi: rank %d: invalid source %d in communicator %d (size %d)",
+		p.id, src, comm.id, comm.Size())
+}
+
+// stampRecv fills in what req matches on — (source, tag, comm) and the
+// protocol's extra identifier — for a receive or a probe.
+func (p *Proc) stampRecv(req *Request, srcWorld, tag int, comm *Comm) {
+	req.kind = reqRecv
+	req.wantSource = srcWorld
+	req.wantTag = tag
+	req.comm = comm
+	p.stampEnv = Envelope{Source: srcWorld, Dest: p.id, CommID: comm.id, Tag: tag}
+	p.protocol.StampRecv(p, &p.stampEnv)
+	req.match = p.stampEnv.Match
 }
 
 // irecv is the internal receive path; tag may be in the collective range.
@@ -729,15 +750,9 @@ func (p *Proc) irecv(buf []byte, srcWorld, tag int, comm *Comm) (*Request, error
 		return nil, ErrWorldStopped
 	}
 	req := p.newRequest()
-	req.kind = reqRecv
 	req.buf = buf
-	req.wantSource = srcWorld
-	req.wantTag = tag
-	req.comm = comm
 	req.postTime = p.clock.Now()
-	p.stampEnv = Envelope{Source: srcWorld, Dest: p.id, CommID: comm.id, Tag: tag}
-	p.protocol.StampRecv(p, &p.stampEnv)
-	req.match = p.stampEnv.Match
+	p.stampRecv(req, srcWorld, tag, comm)
 
 	var completeSender *Request
 	var senderTime float64
@@ -791,39 +806,13 @@ func (p *Proc) Wait(req *Request) (Status, error) {
 	before := p.clock.Now()
 	p.mu.Lock()
 	for !req.done {
-		if p.world.Stopped() {
+		if err := p.blockLocked(); err != nil {
 			p.mu.Unlock()
-			return Status{}, ErrWorldStopped
+			return Status{}, err
 		}
-		if senders, flushed := p.flushHeldLocked(); flushed {
-			// About to block: release the chaos hold buffer first so held
-			// messages cannot deadlock the receiver, then re-check.
-			p.mu.Unlock()
-			completeSenders(senders)
-			p.mu.Lock()
-			continue
-		}
-		p.sleepLocked()
 	}
 	p.mu.Unlock()
 	return p.finalize(req, before)
-}
-
-// Test checks the request without blocking. If it has completed, the request
-// is finalized and ok is true.
-func (p *Proc) Test(req *Request) (ok bool, st Status, err error) {
-	if req == nil {
-		return false, Status{}, fmt.Errorf("mpi: rank %d: Test on nil request", p.id)
-	}
-	before := p.clock.Now()
-	p.mu.Lock()
-	done := req.done
-	p.mu.Unlock()
-	if !done {
-		return false, Status{}, nil
-	}
-	st, err = p.finalize(req, before)
-	return true, st, err
 }
 
 // Waitall waits for all the given requests and returns their statuses.
@@ -847,21 +836,20 @@ func (p *Proc) Waitall(reqs []*Request) ([]Status, error) {
 // skipped; if every request is already finalized, index -1 is returned.
 func (p *Proc) Waitany(reqs []*Request) (int, Status, error) {
 	before := p.clock.Now()
+	p.mu.Lock()
 	for {
-		p.mu.Lock()
-		allFinalized := true
-		idx := -1
+		idx, live := -1, false
 		for i, r := range reqs {
 			if r == nil || r.finalized {
 				continue
 			}
-			allFinalized = false
+			live = true
 			if r.done {
 				idx = i
 				break
 			}
 		}
-		if allFinalized {
+		if !live {
 			p.mu.Unlock()
 			return -1, Status{}, nil
 		}
@@ -870,41 +858,11 @@ func (p *Proc) Waitany(reqs []*Request) (int, Status, error) {
 			st, err := p.finalize(reqs[idx], before)
 			return idx, st, err
 		}
-		if p.world.Stopped() {
+		if err := p.blockLocked(); err != nil {
 			p.mu.Unlock()
-			return -1, Status{}, ErrWorldStopped
-		}
-		if senders, flushed := p.flushHeldLocked(); flushed {
-			p.mu.Unlock()
-			completeSenders(senders)
-			continue
-		}
-		p.sleepLocked()
-		p.mu.Unlock()
-	}
-}
-
-// Testall reports whether all requests have completed; if so, they are all
-// finalized.
-func (p *Proc) Testall(reqs []*Request) (bool, error) {
-	p.mu.Lock()
-	for _, r := range reqs {
-		if r != nil && !r.done {
-			p.mu.Unlock()
-			return false, nil
+			return -1, Status{}, err
 		}
 	}
-	p.mu.Unlock()
-	before := p.clock.Now()
-	for _, r := range reqs {
-		if r == nil {
-			continue
-		}
-		if _, err := p.finalize(r, before); err != nil {
-			return false, err
-		}
-	}
-	return true, nil
 }
 
 // finalize applies the effects of a completed request: clock advance,
@@ -963,71 +921,51 @@ func (p *Proc) finalize(req *Request, waitStart float64) (Status, error) {
 // Probing
 // ---------------------------------------------------------------------------
 
-// Iprobe checks, without receiving, whether a message matching (src, tag,
-// comm) is available. src may be AnySource and tag AnyTag.
-func (p *Proc) Iprobe(src, tag int, comm *Comm) (bool, Status, error) {
+// Probe blocks until a message matching (src, tag, comm) is available and
+// returns its status without receiving it. src may be AnySource and tag
+// AnyTag.
+func (p *Proc) Probe(src, tag int, comm *Comm) (Status, error) {
 	if comm == nil {
 		comm = p.world.worldComm
 	}
-	srcWorld := AnySource
-	if src != AnySource {
-		srcWorld = comm.WorldRank(src)
-		if srcWorld < 0 {
-			return false, Status{}, fmt.Errorf("mpi: rank %d: invalid probe source %d", p.id, src)
-		}
+	srcWorld, err := p.worldSource(src, comm)
+	if err != nil {
+		return Status{}, err
 	}
-	probe := &Request{
-		proc:       p,
-		kind:       reqRecv,
-		wantSource: srcWorld,
-		wantTag:    tag,
-		comm:       comm,
-	}
-	p.stampEnv = Envelope{Source: srcWorld, Dest: p.id, CommID: comm.id, Tag: tag}
-	p.protocol.StampRecv(p, &p.stampEnv)
-	probe.match = p.stampEnv.Match
+	probe := &Request{proc: p}
+	p.stampRecv(probe, srcWorld, tag, comm)
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	for {
+		if st, ok := p.probeLocked(probe); ok {
+			return st, nil
+		}
+		if err := p.blockLocked(); err != nil {
+			return Status{}, err
+		}
+	}
+}
+
+// probeLocked reports the status of the earliest unexpected message the
+// probe request would match, without receiving it. Caller holds p.mu.
+func (p *Proc) probeLocked(probe *Request) (Status, bool) {
 	msg, _, _ := p.scanUnexpectedLocked(probe)
 	if msg == nil {
-		return false, Status{}, nil
-	}
-	st := Status{
-		Source: comm.CommRank(msg.env.Source),
-		Tag:    msg.env.Tag,
-		Bytes:  msg.env.Bytes,
-		Match:  msg.env.Match,
-		Seq:    msg.env.Seq,
+		return Status{}, false
 	}
 	// Probing observes the arrival: virtual time cannot be earlier than the
 	// message's availability.
 	if msg.arriveTime > p.clock.Now() {
 		p.clock.AdvanceTo(msg.arriveTime)
 	}
-	return true, st, nil
-}
-
-// Probe blocks until a matching message is available and returns its status.
-func (p *Proc) Probe(src, tag int, comm *Comm) (Status, error) {
-	for {
-		ok, st, err := p.Iprobe(src, tag, comm)
-		if err != nil || ok {
-			return st, err
-		}
-		p.mu.Lock()
-		if p.world.Stopped() {
-			p.mu.Unlock()
-			return Status{}, ErrWorldStopped
-		}
-		if senders, flushed := p.flushHeldLocked(); flushed {
-			p.mu.Unlock()
-			completeSenders(senders)
-			continue
-		}
-		p.sleepLocked()
-		p.mu.Unlock()
-	}
+	return Status{
+		Source: probe.comm.CommRank(msg.env.Source),
+		Tag:    msg.env.Tag,
+		Bytes:  msg.env.Bytes,
+		Match:  msg.env.Match,
+		Seq:    msg.env.Seq,
+	}, true
 }
 
 // PendingRequests returns the number of incomplete (not yet finalized)

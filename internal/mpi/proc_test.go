@@ -219,7 +219,7 @@ func TestIsendIrecvWaitall(t *testing.T) {
 	}
 }
 
-func TestWaitanyAndTest(t *testing.T) {
+func TestWaitany(t *testing.T) {
 	w := testWorld(t, 3)
 	err := w.Run(func(p *Proc) error {
 		comm := w.CommWorld()
@@ -259,10 +259,6 @@ func TestWaitanyAndTest(t *testing.T) {
 		if idx != -1 {
 			return fmt.Errorf("waitany over finalized requests should return -1, got %d", idx)
 		}
-		ok, err := p.Testall(reqs)
-		if err != nil || !ok {
-			return fmt.Errorf("testall on completed requests: ok=%v err=%v", ok, err)
-		}
 		return nil
 	})
 	if err != nil {
@@ -270,38 +266,7 @@ func TestWaitanyAndTest(t *testing.T) {
 	}
 }
 
-func TestTestNonBlocking(t *testing.T) {
-	w := testWorld(t, 2)
-	err := w.Run(func(p *Proc) error {
-		comm := w.CommWorld()
-		if p.Rank() == 1 {
-			buf := make([]byte, 1)
-			rq, err := p.Irecv(buf, 0, 4, comm)
-			if err != nil {
-				return err
-			}
-			// Poll with Test until the message arrives.
-			for {
-				ok, st, err := p.Test(rq)
-				if err != nil {
-					return err
-				}
-				if ok {
-					if st.Source != 0 {
-						return fmt.Errorf("unexpected source %d", st.Source)
-					}
-					return nil
-				}
-			}
-		}
-		return p.Send([]byte{42}, 1, 4, comm)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestProbeAndIprobe(t *testing.T) {
+func TestProbe(t *testing.T) {
 	w := testWorld(t, 2)
 	err := w.Run(func(p *Proc) error {
 		comm := w.CommWorld()
@@ -315,22 +280,24 @@ func TestProbeAndIprobe(t *testing.T) {
 		if st.Bytes != 8 || st.Source != 0 {
 			return fmt.Errorf("probe status wrong: %+v", st)
 		}
-		// Iprobe must also see it without consuming it.
-		ok, _, err := p.Iprobe(0, 11, comm)
-		if err != nil || !ok {
-			return fmt.Errorf("iprobe should find the message: ok=%v err=%v", ok, err)
+		// Probing does not consume: a second probe by source sees the same
+		// message, and it stays queued until the receive.
+		again, err := p.Probe(0, 11, comm)
+		if err != nil {
+			return err
+		}
+		if again != st {
+			return fmt.Errorf("second probe saw %+v, want %+v", again, st)
+		}
+		if n := p.UnexpectedCount(); n != 1 {
+			return fmt.Errorf("probe consumed the message: %d queued, want 1", n)
 		}
 		buf := make([]byte, st.Bytes)
 		if _, err := p.Recv(buf, st.Source, st.Tag, comm); err != nil {
 			return err
 		}
-		// Now the queue is empty.
-		ok, _, err = p.Iprobe(AnySource, AnyTag, comm)
-		if err != nil {
-			return err
-		}
-		if ok {
-			return fmt.Errorf("iprobe found a message after it was received")
+		if n := p.UnexpectedCount(); n != 0 {
+			return fmt.Errorf("%d messages queued after the receive, want 0", n)
 		}
 		return nil
 	})
@@ -401,7 +368,10 @@ func TestEagerSendCompletesLocally(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if !req.Done() {
+			p.mu.Lock()
+			done := req.done
+			p.mu.Unlock()
+			if !done {
 				return fmt.Errorf("eager send should complete immediately")
 			}
 			_, err = p.Wait(req)
@@ -440,8 +410,8 @@ func TestInvalidArguments(t *testing.T) {
 		if _, err := p.Wait(nil); err == nil {
 			return fmt.Errorf("wait on nil request accepted")
 		}
-		if _, _, err := p.Test(nil); err == nil {
-			return fmt.Errorf("test on nil request accepted")
+		if _, err := p.Probe(17, 1, comm); err == nil {
+			return fmt.Errorf("invalid probe source accepted")
 		}
 		return nil
 	})

@@ -9,9 +9,8 @@ const (
 )
 
 // Request represents an outstanding non-blocking operation, like MPI_Request.
-// A request is created by Isend or Irecv and completed by Wait, Waitall,
-// Waitany, Test or Testall. All request state is protected by the owning
-// process's mutex.
+// A request is created by Isend or Irecv and completed by Wait, Waitall or
+// Waitany. All request state is protected by the owning process's mutex.
 type Request struct {
 	proc *Proc
 	kind reqKind
@@ -33,14 +32,6 @@ type Request struct {
 	msg          *inMessage
 
 	next *Request // free-list link while the request is recycled
-}
-
-// Done reports whether the request has completed (it does not finalize the
-// request; use Wait or Test for that).
-func (r *Request) Done() bool {
-	r.proc.mu.Lock()
-	defer r.proc.mu.Unlock()
-	return r.done
 }
 
 // newRequest returns a blank request owned by p, recycled from p.freeReqs

@@ -5,29 +5,27 @@ import (
 	"sync"
 )
 
-// This file implements the sharded wake scheduler that replaces the
-// per-Proc condition variable. The old shape — every Proc owning a
-// sync.Cond and every deliver/complete broadcasting on it — has two
-// problems at 100k ranks: every state change wakes *all* waiters of the
-// target rank whether or not their predicate advanced, and World.Abort has
-// to walk the whole world locking every p.mu just to broadcast.
-//
-// The new shape splits parking from waking:
+// This file implements how a rank blocks and how it is woken. There is one
+// way to park and one way to wake:
 //
 //   - Only the rank's own goroutine ever blocks on a Proc (Wait/Waitany/
-//     Probe are rank-goroutine-only by contract), so a Proc has one waiter:
-//     it sets p.parked under p.mu and parks on p.wake, a 1-buffered channel
-//     allocated once with the Proc, so steady-state blocking is
-//     allocation-free.
+//     Probe are rank-goroutine-only by contract), and each of them parks
+//     through blockLocked and nowhere else: it tests its predicate under
+//     p.mu and, while the predicate is false, calls blockLocked under that
+//     same hold, which sets p.parked and parks on p.wake, a 1-buffered
+//     channel allocated once with the Proc, so steady-state blocking is
+//     allocation-free. Because the test and the sleep share one hold, a
+//     delivery either lands before the test (and the test sees it) or
+//     finds the rank parked (and wakes it): no wakeup is lost.
 //
-//   - A state change calls notifyLocked. With a scheduler installed the
-//     rank is appended to its shard's mailbox (coalesced by a per-Proc
-//     wakeQueued flag — a rank already queued is not queued twice) and the
-//     shard's worker loop hands the parked rank its wake token. Ranks are
-//     batched onto min(GOMAXPROCS·shardFactor, size) shard loops in
-//     contiguous blocks, so a burst of deliveries wakes each shard once
-//     and the wake fan-out runs on a bounded number of loops instead of
-//     thundering across the world.
+//   - A state change calls notifyLocked, which appends a parked rank to its
+//     shard's mailbox (coalesced by a per-Proc wakeQueued flag — a rank
+//     already queued is not queued twice); the shard's worker loop hands
+//     the parked rank its wake token. Ranks are batched onto
+//     min(GOMAXPROCS·shardFactor, size) shard loops in contiguous blocks,
+//     so a burst of deliveries wakes each shard once and the wake fan-out
+//     runs on a bounded number of loops instead of thundering across the
+//     world.
 //
 //   - Abort posts one abort token per shard — O(shards) on the caller's
 //     path — and each shard loop sweeps its own rank block.
@@ -36,9 +34,8 @@ import (
 // protocol state (queues, requests, clocks) is guarded by p.mu and all
 // matching decisions are made by the sender's call order in virtual time,
 // so routing wakes through shard loops cannot change matching order or any
-// simulated result. WithShards(-1) selects the legacy direct-wake path
-// (the parked rank is woken inline at the notify site); the scheduler tests
-// use it to cross-check bit-identical digests.
+// simulated result; the shard count (which follows GOMAXPROCS) changes only
+// which loop delivers a wake.
 
 // shardFactor scales the number of shard loops per GOMAXPROCS.
 const shardFactor = 4
@@ -66,13 +63,8 @@ type scheduler struct {
 	wg     sync.WaitGroup
 }
 
-func newScheduler(w *World, nshards int) *scheduler {
-	if nshards <= 0 {
-		nshards = runtime.GOMAXPROCS(0) * shardFactor
-	}
-	if nshards > w.size {
-		nshards = w.size
-	}
+func newScheduler(w *World) *scheduler {
+	nshards := min(runtime.GOMAXPROCS(0)*shardFactor, w.size)
 	block := (w.size + nshards - 1) / nshards
 	nshards = (w.size + block - 1) / block
 	s := &scheduler{world: w, shards: make([]shard, nshards), block: block}
@@ -114,27 +106,22 @@ func (s *scheduler) stop() {
 	s.wg.Wait()
 }
 
-// post enqueues a wake for p on its shard mailbox. It reports false when
-// the shard has already shut down, in which case the caller must wake
-// inline. Callers hold p.mu; the p.mu → sh.mu order is acyclic because the
-// loop always releases sh.mu before taking any p.mu.
-func (s *scheduler) post(p *Proc) bool {
+// post enqueues a wake for p on its shard mailbox. Callers hold p.mu; the
+// p.mu → sh.mu order is acyclic because the loop always releases sh.mu
+// before taking any p.mu. A shard is closed only after every rank body has
+// returned, when no rank is parked any more, so a post never meets a closed
+// shard.
+func (s *scheduler) post(p *Proc) {
 	if !p.wakeQueued.CompareAndSwap(false, true) {
-		return true // already queued; the pending drain will observe the new state
+		return // already queued; the pending drain will observe the new state
 	}
 	sh := &s.shards[p.id/s.block]
 	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
-		p.wakeQueued.Store(false)
-		return false
-	}
 	sh.queue = append(sh.queue, int32(p.id))
 	if len(sh.queue) == 1 {
 		sh.cond.Signal()
 	}
 	sh.mu.Unlock()
-	return true
 }
 
 // abort arms the whole-block sweep on every shard. O(shards) for the
@@ -178,22 +165,49 @@ func (s *scheduler) loop(sh *shard) {
 	}
 }
 
-// wake hands p's wake token to its parked rank goroutine. Clearing
+// wake hands p's wake token to its parked rank goroutine, if any. Clearing
 // wakeQueued *before* taking p.mu closes the lost-wakeup window: a notify
 // that races with the drain either finds wakeQueued still set (its state
 // change happened under p.mu before this wake acquires it, so the woken rank
-// observes it) or re-queues the rank.
+// observes it) or re-queues the rank. The token is only sent while p.parked
+// is set, and parked is cleared at send time, so at most one token is
+// outstanding, the rank always consumes it before it parks again, and the
+// send never blocks.
 func (s *scheduler) wake(p *Proc) {
 	p.wakeQueued.Store(false)
 	p.mu.Lock()
-	p.wakeLocked()
+	if p.parked {
+		p.parked = false
+		p.wake <- struct{}{}
+	}
 	p.mu.Unlock()
+}
+
+// blockLocked is the one place a rank goroutine parks. The caller holds p.mu,
+// has just found its predicate false under that hold, and re-tests it, still
+// under p.mu, each time blockLocked returns nil: the test and the sleep share
+// one hold, so a delivery is either seen by the test or finds the rank parked
+// (the monitor rule). It returns ErrWorldStopped once the world is stopped,
+// releases a non-empty network-chaos hold buffer (the flushed messages may
+// satisfy the predicate), and otherwise sleeps until the next wake. It
+// returns with p.mu held.
+func (p *Proc) blockLocked() error {
+	if p.world.Stopped() {
+		return ErrWorldStopped
+	}
+	if senders, flushed := p.flushHeldLocked(); flushed {
+		p.mu.Unlock()
+		completeSenders(senders)
+		p.mu.Lock()
+		return nil
+	}
+	p.sleepLocked()
+	return nil
 }
 
 // sleepLocked parks the rank's own goroutine until the next wake of p.
 // Caller holds p.mu; it is released while parked and re-acquired before
-// returning. Returns may be spurious — callers re-check their predicate in
-// a loop, exactly as with the condition variable this replaces.
+// returning. Returns may be spurious — the caller re-tests its predicate.
 func (p *Proc) sleepLocked() {
 	p.parked = true
 	p.mu.Unlock()
@@ -201,28 +215,11 @@ func (p *Proc) sleepLocked() {
 	p.mu.Lock()
 }
 
-// wakeLocked hands the wake token to the parked rank goroutine, if any. The
-// token is only sent while p.parked is set, and parked is cleared at send
-// time, so at most one token is outstanding, the rank always consumes it
-// before it parks again, and the send never blocks. Caller holds p.mu.
-func (p *Proc) wakeLocked() {
-	if !p.parked {
-		return
-	}
-	p.parked = false
-	p.wake <- struct{}{}
-}
-
-// notifyLocked signals that state guarded by p.mu changed. With a
-// scheduler installed the wake rides p's shard mailbox; otherwise (legacy
-// mode, or outside World.Run) the parked rank is woken inline. Caller holds
-// p.mu.
+// notifyLocked signals that state guarded by p.mu changed, and posts a wake
+// when the rank is parked. A rank parks only inside World.Run, while the
+// scheduler is installed. Caller holds p.mu.
 func (p *Proc) notifyLocked() {
-	if !p.parked {
-		return
+	if p.parked {
+		p.world.sched.Load().post(p)
 	}
-	if s := p.world.sched.Load(); s != nil && s.post(p) {
-		return
-	}
-	p.wakeLocked()
 }

@@ -33,11 +33,8 @@ type World struct {
 	// it is a plain atomic flag.
 	stopped atomic.Bool
 
-	// shardOpt is the WithShards setting: 0 auto-sizes the shard count,
-	// n>0 forces it, -1 selects the legacy direct-wake path.
-	shardOpt int
-	// sched is the wake scheduler of the Run in progress, nil outside Run
-	// and in legacy mode. Read lock-free on every notify.
+	// sched is the wake scheduler of the Run in progress, nil outside Run.
+	// Read lock-free on every notify.
 	sched atomic.Pointer[scheduler]
 }
 
@@ -57,15 +54,6 @@ func WithRecorder(r *trace.Recorder) Option {
 // NewWorld.
 func WithNetChaos(n *simnet.NetChaos) Option {
 	return func(w *World) { w.net = n }
-}
-
-// WithShards sets the number of shard loops the wake scheduler batches
-// ranks onto during Run. 0 (the default) auto-sizes to
-// min(GOMAXPROCS·shardFactor, size); a negative value disables the
-// scheduler entirely and wakes parked ranks inline at the notify site (the
-// goroutine-per-rank legacy path, kept for bit-identical cross-checks).
-func WithShards(n int) Option {
-	return func(w *World) { w.shardOpt = n }
 }
 
 // NewWorld creates a world of n ranks with the given cost model.
@@ -158,23 +146,19 @@ func (w *World) Stopped() bool {
 }
 
 // Abort marks the world as stopped and wakes every blocked process so the
-// run can terminate with ErrWorldStopped instead of hanging. With the
-// shard scheduler active the caller's cost is O(shards) — one abort token
-// per mailbox — and the world-sized wake sweep runs on the shard loops.
+// run can terminate with ErrWorldStopped instead of hanging. The caller's
+// cost is O(shards) — one abort token per mailbox — and the world-sized wake
+// sweep runs on the shard loops. Outside Run no rank is parked, so setting
+// the flag is all there is to do.
 func (w *World) Abort() {
 	w.stopped.Store(true)
 	if s := w.sched.Load(); s != nil {
 		s.abort()
-		return
-	}
-	for _, p := range w.procs {
-		p.mu.Lock()
-		p.wakeLocked()
-		p.mu.Unlock()
 	}
 }
 
-// Run executes fn on every rank concurrently (one goroutine per rank) and
+// Run executes fn on every rank concurrently (one goroutine per rank, woken
+// through the shard scheduler installed for the duration of the call) and
 // waits for all of them to return. When any rank fails, the world is aborted
 // so blocked ranks do not hang; the aborted ranks then fail with errors
 // wrapping ErrWorldStopped. Run prefers the primary failure: the first error
@@ -197,19 +181,12 @@ func (w *World) Run(fn func(p *Proc) error) error {
 			w.Abort()
 		}
 	}
-	if w.shardOpt >= 0 {
-		s := newScheduler(w, w.shardOpt)
-		w.sched.Store(s)
-		s.start(body)
-		wg.Wait()
-		s.stop()
-		w.sched.Store(nil)
-	} else {
-		for i := 0; i < w.size; i++ {
-			go body(i)
-		}
-		wg.Wait()
-	}
+	s := newScheduler(w)
+	w.sched.Store(s)
+	s.start(body)
+	wg.Wait()
+	s.stop()
+	w.sched.Store(nil)
 	var first error
 	for _, err := range errs {
 		if err == nil {
