@@ -16,6 +16,11 @@ import (
 // through the shard mailboxes must be invisible to rank code — same matching
 // order, same error and panic semantics, same abort behavior.
 
+// schedAuto names the subtest that runs under the scheduler's own shard
+// count, sized from GOMAXPROCS and the world size. It is the only setting:
+// a shard count can no longer be forced.
+const schedAuto = "auto"
+
 // TestSchedulerRandomParkWakeStress drives the park sites — blocking Recv,
 // Probe, a rendezvous send's Wait, Barrier — with seeded pseudo-random
 // traffic on a multi-shard world (24 ranks over at least 4 shards). The cost
@@ -23,57 +28,59 @@ import (
 // rendezvous path (sender parks until the receiver matches). Run with -race
 // this is the lost-wakeup/teardown stress for the shard mailboxes.
 func TestSchedulerRandomParkWakeStress(t *testing.T) {
-	const ranks, iters = 24, 40
-	cost := simnet.DefaultCostModel()
-	cost.EagerThreshold = 64 // force frequent rendezvous parking
-	w, err := NewWorld(ranks, cost)
-	if err != nil {
-		t.Fatalf("NewWorld: %v", err)
-	}
-	err = w.Run(func(p *Proc) error {
-		rng := rand.New(rand.NewSource(int64(p.Rank()) + 1))
-		comm := w.CommWorld()
-		right := (p.Rank() + 1) % ranks
-		left := (p.Rank() + ranks - 1) % ranks
-		for it := 0; it < iters; it++ {
-			size := 1 + rng.Intn(128) // straddles the eager threshold
-			payload := make([]byte, size)
-			for i := range payload {
-				payload[i] = byte(p.Rank() ^ it ^ i)
-			}
-			req, err := p.Isend(payload, right, it, comm)
-			if err != nil {
-				return err
-			}
-			// Probe parks until the neighbor's message arrives, then the
-			// sized Recv parks on the rendezvous handshake.
-			st, err := p.Probe(left, it, comm)
-			if err != nil {
-				return err
-			}
-			buf := make([]byte, st.Bytes)
-			if _, err := p.Recv(buf, left, it, comm); err != nil {
-				return err
-			}
-			for i, b := range buf {
-				if want := byte(left ^ it ^ i); b != want {
-					return fmt.Errorf("iter %d byte %d: got %#x want %#x", it, i, b, want)
+	t.Run(schedAuto, func(t *testing.T) {
+		const ranks, iters = 24, 40
+		cost := simnet.DefaultCostModel()
+		cost.EagerThreshold = 64 // force frequent rendezvous parking
+		w, err := NewWorld(ranks, cost)
+		if err != nil {
+			t.Fatalf("NewWorld: %v", err)
+		}
+		err = w.Run(func(p *Proc) error {
+			rng := rand.New(rand.NewSource(int64(p.Rank()) + 1))
+			comm := w.CommWorld()
+			right := (p.Rank() + 1) % ranks
+			left := (p.Rank() + ranks - 1) % ranks
+			for it := 0; it < iters; it++ {
+				size := 1 + rng.Intn(128) // straddles the eager threshold
+				payload := make([]byte, size)
+				for i := range payload {
+					payload[i] = byte(p.Rank() ^ it ^ i)
 				}
-			}
-			if _, err := p.Wait(req); err != nil {
-				return err
-			}
-			if it%8 == 7 {
-				if err := p.Barrier(comm); err != nil {
+				req, err := p.Isend(payload, right, it, comm)
+				if err != nil {
 					return err
 				}
+				// Probe parks until the neighbor's message arrives, then the
+				// sized Recv parks on the rendezvous handshake.
+				st, err := p.Probe(left, it, comm)
+				if err != nil {
+					return err
+				}
+				buf := make([]byte, st.Bytes)
+				if _, err := p.Recv(buf, left, it, comm); err != nil {
+					return err
+				}
+				for i, b := range buf {
+					if want := byte(left ^ it ^ i); b != want {
+						return fmt.Errorf("iter %d byte %d: got %#x want %#x", it, i, b, want)
+					}
+				}
+				if _, err := p.Wait(req); err != nil {
+					return err
+				}
+				if it%8 == 7 {
+					if err := p.Barrier(comm); err != nil {
+						return err
+					}
+				}
 			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("stress run: %v", err)
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatalf("stress run: %v", err)
-	}
 }
 
 // TestProbeNoLostWakeup pins the monitor rule for Probe: a rank that finds
@@ -157,56 +164,60 @@ func TestProbeNoLostWakeup(t *testing.T) {
 // terminates, (b) Run reports the failing rank's error — the primary
 // failure — not a secondary ErrWorldStopped reaction.
 func TestSchedulerAbortMidWait(t *testing.T) {
-	const ranks = 8
-	boom := errors.New("boom")
-	w := testWorld(t, ranks)
-	err := w.Run(func(p *Proc) error {
-		if p.Rank() == 3 {
-			p.Compute(1e-6)
-			return boom
+	t.Run(schedAuto, func(t *testing.T) {
+		const ranks = 8
+		boom := errors.New("boom")
+		w := testWorld(t, ranks)
+		err := w.Run(func(p *Proc) error {
+			if p.Rank() == 3 {
+				p.Compute(1e-6)
+				return boom
+			}
+			buf := make([]byte, 8)
+			_, err := p.Recv(buf, 3, 99, w.CommWorld()) // never sent
+			return err
+		})
+		if err == nil {
+			t.Fatal("run with a failing rank returned nil")
 		}
-		buf := make([]byte, 8)
-		_, err := p.Recv(buf, 3, 99, w.CommWorld()) // never sent
-		return err
+		if !errors.Is(err, boom) {
+			t.Fatalf("run error = %v, want the primary failure (rank 3: boom)", err)
+		}
+		if errors.Is(err, ErrWorldStopped) {
+			t.Fatalf("run preferred a secondary abort error: %v", err)
+		}
+		if !strings.Contains(err.Error(), "rank 3") {
+			t.Fatalf("run error %q does not name the failing rank", err)
+		}
 	})
-	if err == nil {
-		t.Fatal("run with a failing rank returned nil")
-	}
-	if !errors.Is(err, boom) {
-		t.Fatalf("run error = %v, want the primary failure (rank 3: boom)", err)
-	}
-	if errors.Is(err, ErrWorldStopped) {
-		t.Fatalf("run preferred a secondary abort error: %v", err)
-	}
-	if !strings.Contains(err.Error(), "rank 3") {
-		t.Fatalf("run error %q does not name the failing rank", err)
-	}
 }
 
 // TestSchedulerPanicInRank panics one rank mid-run while the rest are
 // parked; Run must capture it as a "rank N panicked" error and release the
 // parked ranks instead of deadlocking.
 func TestSchedulerPanicInRank(t *testing.T) {
-	const ranks = 6
-	w := testWorld(t, ranks)
-	err := w.Run(func(p *Proc) error {
-		if p.Rank() == 2 {
-			p.Compute(1e-6)
-			panic("scheduler-test panic")
+	t.Run(schedAuto, func(t *testing.T) {
+		const ranks = 6
+		w := testWorld(t, ranks)
+		err := w.Run(func(p *Proc) error {
+			if p.Rank() == 2 {
+				p.Compute(1e-6)
+				panic("scheduler-test panic")
+			}
+			buf := make([]byte, 8)
+			_, err := p.Recv(buf, 2, 99, w.CommWorld()) // never sent
+			return err
+		})
+		if err == nil {
+			t.Fatal("run with a panicking rank returned nil")
 		}
-		buf := make([]byte, 8)
-		_, err := p.Recv(buf, 2, 99, w.CommWorld()) // never sent
-		return err
+		if !strings.Contains(err.Error(), "rank 2 panicked") {
+			t.Fatalf("run error %q does not capture the panic", err)
+		}
+		if !strings.Contains(err.Error(), "scheduler-test panic") {
+			t.Fatalf("run error %q lost the panic value", err)
+		}
 	})
-	if err == nil {
-		t.Fatal("run with a panicking rank returned nil")
-	}
-	if !strings.Contains(err.Error(), "rank 2 panicked") {
-		t.Fatalf("run error %q does not capture the panic", err)
-	}
-	if !strings.Contains(err.Error(), "scheduler-test panic") {
-		t.Fatalf("run error %q lost the panic value", err)
-	}
 }
 
 // TestSchedulerTeardownAfterRun pins that Run tears its scheduler down
